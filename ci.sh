@@ -22,6 +22,12 @@ echo "==> tier-1 verify: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+echo "==> benchmark harness: build and test perfbench against the current crates"
+# perfbench is a workspace of its own, so `cargo test` above skips it; an API
+# change that breaks the harness fails here rather than in the next
+# benchmark run.
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> perf smoke: bench_snapshot -> BENCH_backbones.json"
 # BENCH_SCALE=full adds the million-node substrates (that mode produces the
 # committed BENCH_backbones.json); the default keeps the smoke budget.

@@ -610,7 +610,7 @@ fn churn_expected_bodies() -> Result<HashMap<Vec<u8>, (usize, usize)>, String> {
                 .run(&graph)
                 .map_err(|e| format!("churn state ({i}, {j}): {e}"))?;
             let mut body = Vec::new();
-            run.write_backbone(&mut body)
+            run.write_backbone(&graph, &mut body)
                 .map_err(|e| format!("churn state ({i}, {j}): {e}"))?;
             bodies.insert(body, (i, j));
         }
@@ -909,7 +909,7 @@ mod tests {
             .run(&base)
             .unwrap();
         let mut body = Vec::new();
-        run.write_backbone(&mut body).unwrap();
+        run.write_backbone(&base, &mut body).unwrap();
         assert_eq!(bodies.get(&body), Some(&(0, 0)));
     }
 

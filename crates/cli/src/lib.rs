@@ -113,8 +113,8 @@ COMPARE MODE:
                            round(F × E) edges (default 0.1)
     --noise <F>            multiplicative noise level in [0, 1): weights are
                            scaled by U(1-F, 1+F) per resample (default 0.1)
-    --resamples <N>        noise Monte Carlo resamples; 0 skips the
-                           stability metric (default 8)
+    --resamples <N>        noise Monte Carlo resamples, at most 1000; 0
+                           skips the stability metric (default 8)
     --seed <N>             base seed of the noise resamples (default 4242)
     -o, --output <KIND>    table  human-readable comparison tables (default)
                            json   the JSON report: the stable report of the
@@ -818,8 +818,12 @@ pub fn execute(config: &CliConfig, out: &mut dyn Write) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
 
     match config.output {
-        OutputKind::Backbone => run.write_backbone(&mut *out).map_err(|e| e.to_string())?,
-        OutputKind::Scores => run.write_scores(&mut *out).map_err(|e| e.to_string())?,
+        OutputKind::Backbone => run
+            .write_backbone(&graph, &mut *out)
+            .map_err(|e| e.to_string())?,
+        OutputKind::Scores => run
+            .write_scores(&graph, &mut *out)
+            .map_err(|e| e.to_string())?,
         OutputKind::Summary => {
             writeln!(out, "{}", run.summary_json()).map_err(|e| e.to_string())?
         }
@@ -852,6 +856,8 @@ fn render_timings_table(ingest: std::time::Duration, stages: &backboning::StageT
 /// Execute a parsed `backbone compare` configuration, writing the report to
 /// `out`.
 pub fn execute_compare(config: &CompareCliConfig, out: &mut dyn Write) -> Result<(), String> {
+    // Validate (including the resample cap) before reading any input.
+    let comparison = Comparison::new(config.comparison.clone()).map_err(|e| e.to_string())?;
     let graph = match &config.input {
         Some(path) => backboning_graph::io::read_edge_list_csr_file(path, &config.options),
         None => {
@@ -861,10 +867,7 @@ pub fn execute_compare(config: &CompareCliConfig, out: &mut dyn Write) -> Result
     }
     .map_err(|e| e.to_string())?;
 
-    let report = Comparison::new(config.comparison.clone())
-        .map_err(|e| e.to_string())?
-        .run(&graph)
-        .map_err(|e| e.to_string())?;
+    let report = comparison.run(&graph).map_err(|e| e.to_string())?;
 
     let rendered = match config.output {
         CompareOutputKind::Table => report.render_table(),
@@ -1298,6 +1301,12 @@ mod tests {
                 err.0
             );
         }
+    }
+
+    #[test]
+    fn compare_help_states_the_resample_cap() {
+        let cap = backboning_eval::comparison::MAX_NOISE_RESAMPLES;
+        assert!(USAGE.contains(&format!("resamples, at most {cap};")));
     }
 
     #[test]

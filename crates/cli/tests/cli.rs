@@ -301,6 +301,26 @@ fn compare_invalid_share_exits_1() {
 }
 
 #[test]
+fn compare_resamples_above_the_cap_exit_1() {
+    // Refused before the Monte Carlo allocates a trial list of this size.
+    let path = trade_path();
+    let output = run_with_stdin(
+        &[
+            "compare",
+            "--resamples",
+            "1000000000000",
+            "--undirected",
+            path.to_str().unwrap(),
+        ],
+        None,
+    );
+    assert_eq!(output.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&output.stderr);
+    assert!(err.contains("noise_resamples"), "{err}");
+    assert!(err.contains("at most 1000"), "{err}");
+}
+
+#[test]
 fn gen_pipes_into_the_pipeline() {
     // `backbone gen` to stdout, then feed the edge list back through a
     // backbone run — the full scenario → backbone loop, via real processes.

@@ -69,7 +69,7 @@
 //! let run = Pipeline::new(Method::NoiseCorrected, ThresholdPolicy::TopK(3))
 //!     .run(&graph)
 //!     .unwrap();
-//! assert_eq!(run.backbone.edge_count(), 3);
+//! assert_eq!(run.kept.len(), 3);
 //! assert!(run.coverage > 0.0 && run.coverage <= 1.0);
 //! ```
 

@@ -5,11 +5,17 @@
 //! [`Method`] scores the edges, which [`ThresholdPolicy`] decides how many of
 //! them survive, and how many worker threads do the scoring — behind one
 //! `run` call that produces a [`PipelineRun`]: the scored edges, the kept
-//! edge set, the backbone graph, and the run statistics (coverage, wall
-//! time). The same type drives the paper's evaluation sweeps (via
-//! [`Method::edge_set`]) and user-supplied networks (via the `backbone`
-//! binary in `crates/cli`), so the reproduction path and the serving path are
-//! the same code.
+//! edge ids, and the run statistics (node coverage, wall time). The same
+//! type drives the paper's evaluation sweeps (via [`Method::edge_set`]) and
+//! user-supplied networks (via the `backbone` binary in `crates/cli`), so the
+//! reproduction path and the serving path are the same code.
+//!
+//! A run never materializes the backbone as a graph: the kept edge ids index
+//! into the input graph, and [`PipelineRun::write_backbone`] and
+//! [`PipelineRun::write_scores`] read labels, endpoints and weights from that
+//! graph by edge id. Pass the graph the run was made on; a graph of another
+//! size is rejected. Callers that need the backbone as a graph call
+//! [`GraphView::subgraph_with_edges`] with [`PipelineRun::kept`].
 //!
 //! ```
 //! use backboning::{Pipeline, Method, ThresholdPolicy};
@@ -24,17 +30,20 @@
 //!     .run(&graph)
 //!     .unwrap();
 //! assert_eq!(run.kept.len(), 3);
-//! assert_eq!(run.backbone.node_count(), graph.node_count());
+//! assert!(run.nodes_covered <= graph.node_count());
 //! assert!(run.summary_json().contains("\"method\": \"nc\""));
+//!
+//! let mut backbone = Vec::new();
+//! run.write_backbone(&graph, &mut backbone).unwrap();
+//! assert_eq!(String::from_utf8(backbone).unwrap().lines().count(), 1 + 3);
 //! ```
 
-use std::collections::HashSet;
 use std::io::{BufWriter, Write};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use backboning_graph::io::write_edge_list;
-use backboning_graph::{GraphView, WeightedGraph};
+use backboning_graph::io::{write_edge_fields, write_edges};
+use backboning_graph::{GraphError, GraphView};
 
 use crate::error::{BackboneError, BackboneResult};
 use crate::json;
@@ -211,8 +220,8 @@ impl Pipeline {
         self.select(graph, &scored)
     }
 
-    /// Run the full pipeline: score, select, and build the backbone graph,
-    /// measuring wall time, per-stage time and coverage along the way.
+    /// Run the full pipeline: score, select, and count the nodes the kept
+    /// edges cover, measuring wall time and per-stage time along the way.
     pub fn run<G: GraphView>(&self, graph: &G) -> BackboneResult<PipelineRun> {
         let start = Instant::now();
         let scored = Arc::new(self.score(graph)?);
@@ -220,7 +229,7 @@ impl Pipeline {
     }
 
     /// Run everything *after* scoring on an already-scored edge set: apply
-    /// the threshold policy, build the backbone graph, and assemble a full
+    /// the threshold policy, count the covered nodes, and assemble a full
     /// [`PipelineRun`] — without recomputing the scores.
     ///
     /// This is the score-once-select-many entry point: score a graph once
@@ -229,8 +238,8 @@ impl Pipeline {
     /// cost only — the `Arc` makes the hot path allocation-free even for
     /// multi-million-edge score sets. The resulting run is identical to a
     /// fresh [`Pipeline::run`] with the same method and policy — same kept
-    /// set, same backbone, same summary — except for the measured wall
-    /// time, which here covers only selection and backbone construction.
+    /// set, same coverage, same summary — except for the measured wall
+    /// time, which here covers only selection and the coverage count.
     /// The `backboning_server` scored-graph cache serves every threshold
     /// query after the first through this path.
     ///
@@ -268,7 +277,7 @@ impl Pipeline {
         self.assemble(graph, scored, Instant::now(), None)
     }
 
-    /// Select, build the backbone, and package the run statistics. `start`
+    /// Select, count the covered nodes, and package the run statistics. `start`
     /// is when the caller's measured work began (before scoring for `run`,
     /// after it for `run_with_scores`); `score` is the already-measured
     /// scoring time, `None` when the scores were supplied by the caller.
@@ -283,14 +292,14 @@ impl Pipeline {
         let kept = self.select(graph, &scored)?;
         let select = select_start.elapsed();
         let build_start = Instant::now();
-        let backbone = graph.subgraph_with_edges(&kept)?;
+        let nodes_covered = covered_node_count(graph, &kept);
         let build = build_start.elapsed();
         let elapsed = start.elapsed();
         let original_connected = graph.non_isolated_node_count();
         let coverage = if original_connected == 0 {
             1.0
         } else {
-            backbone.non_isolated_node_count() as f64 / original_connected as f64
+            nodes_covered as f64 / original_connected as f64
         };
         Ok(PipelineRun {
             method: self.method,
@@ -307,17 +316,36 @@ impl Pipeline {
             },
             scored,
             kept,
-            backbone,
+            nodes_covered,
         })
     }
+}
+
+/// The number of distinct nodes the `kept` edges touch — the
+/// non-isolated node count of the backbone subgraph, without building it.
+fn covered_node_count<G: GraphView>(graph: &G, kept: &[usize]) -> usize {
+    let mut covered = vec![false; graph.node_count()];
+    let mut count = 0usize;
+    for &index in kept {
+        let edge = graph
+            .edge(index)
+            .expect("select keeps ids of the graph's edges");
+        for node in [edge.source, edge.target] {
+            if !covered[node] {
+                covered[node] = true;
+                count += 1;
+            }
+        }
+    }
+    count
 }
 
 /// Per-stage wall times of one pipeline run, as measured by
 /// [`Pipeline::run`] / [`Pipeline::run_with_scores`].
 ///
-/// The stages are the three calls the pipeline makes: [`Pipeline::score`],
-/// [`Pipeline::select`], and the backbone subgraph construction. Their sum
-/// is slightly below [`PipelineRun::elapsed`] (the difference is the
+/// The stages are the three steps the pipeline takes: [`Pipeline::score`],
+/// [`Pipeline::select`], and the coverage pass over the kept edges. Their
+/// sum is slightly below [`PipelineRun::elapsed`] (the difference is the
 /// bookkeeping between stages).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StageTimings {
@@ -326,7 +354,9 @@ pub struct StageTimings {
     pub score: Option<Duration>,
     /// Time spent applying the threshold policy to the scored edges.
     pub select: Duration,
-    /// Time spent building the backbone subgraph from the kept edges.
+    /// Time spent on the coverage pass: counting the nodes the kept edges
+    /// cover. The field keeps its name so the `stage_ms` key and the CLI's
+    /// `--timings` row stay the same.
     pub build: Duration,
 }
 
@@ -369,8 +399,9 @@ fn coverage_prefix<G: GraphView>(
     Ok(kept)
 }
 
-/// The result of one [`Pipeline::run`]: scores, kept edges, backbone graph
-/// and run statistics.
+/// The result of one [`Pipeline::run`]: scores, kept edge ids and run
+/// statistics. The backbone is the input graph's full node set with the
+/// `kept` edges; the writers read it from the input graph.
 #[derive(Debug, Clone)]
 pub struct PipelineRun {
     /// The method that scored the edges.
@@ -386,7 +417,7 @@ pub struct PipelineRun {
     /// Node coverage of the backbone (share of originally non-isolated nodes
     /// keeping at least one edge).
     pub coverage: f64,
-    /// Wall time of scoring + selection + backbone construction.
+    /// Wall time of scoring + selection + the coverage pass.
     pub elapsed: Duration,
     /// Per-stage breakdown of `elapsed` (score / select / build).
     pub stages: StageTimings,
@@ -395,8 +426,8 @@ pub struct PipelineRun {
     pub scored: Arc<ScoredEdges>,
     /// Indices (into the input graph) of the kept edges.
     pub kept: Vec<usize>,
-    /// The backbone graph (full node set, kept edges only).
-    pub backbone: WeightedGraph,
+    /// Number of nodes with at least one kept edge.
+    pub nodes_covered: usize,
 }
 
 impl PipelineRun {
@@ -409,51 +440,75 @@ impl PipelineRun {
         }
     }
 
+    /// One flag per input edge: whether the run kept it.
+    pub fn kept_mask(&self) -> Vec<bool> {
+        let mut mask = vec![false; self.original_edges];
+        for &index in &self.kept {
+            mask[index] = true;
+        }
+        mask
+    }
+
     /// Write the backbone as a tab-separated edge list
-    /// (`source<TAB>target<TAB>weight`, one header comment line).
-    pub fn write_backbone<W: Write>(&self, writer: W) -> BackboneResult<()> {
-        Ok(write_edge_list(&self.backbone, writer)?)
+    /// (`source<TAB>target<TAB>weight`, one header comment line), one line
+    /// per kept edge in `kept` order, read from `graph` — the graph this run
+    /// was made on. The bytes equal writing
+    /// `graph.subgraph_with_edges(&self.kept)` with
+    /// [`backboning_graph::io::write_edge_list`].
+    pub fn write_backbone<G: GraphView, W: Write>(
+        &self,
+        graph: &G,
+        writer: W,
+    ) -> BackboneResult<()> {
+        self.check_graph(graph)?;
+        Ok(write_edges(graph, self.kept.iter().copied(), writer)?)
     }
 
     /// Write the full scored-edge table as tab-separated text: one row per
     /// original edge with its weight, significance score, the method-specific
     /// optional columns (raw score, standard deviation, p-value; `NA` when
     /// the method does not define them) and whether the edge was kept.
-    pub fn write_scores<W: Write>(&self, writer: W) -> BackboneResult<()> {
+    /// Endpoint labels come from `graph`, the graph this run was made on.
+    pub fn write_scores<G: GraphView, W: Write>(&self, graph: &G, writer: W) -> BackboneResult<()> {
+        self.check_graph(graph)?;
         let mut writer = BufWriter::new(writer);
-        let kept: HashSet<usize> = self.kept.iter().copied().collect();
-        let fmt_opt = |value: Option<f64>| match value {
-            Some(v) => format!("{v}"),
-            None => "NA".to_string(),
-        };
-        let io_err = |e: std::io::Error| backboning_graph::GraphError::from(e);
-        writeln!(
-            writer,
-            "# source\ttarget\tweight\tscore\traw_score\tstd_dev\tp_value\tkept"
-        )
-        .map_err(io_err)?;
-        for edge in self.scored.iter() {
-            let label = |node| {
-                self.backbone
-                    .label(node)
-                    .map(str::to_string)
-                    .unwrap_or_else(|| node.to_string())
-            };
-            writeln!(
-                writer,
-                "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-                label(edge.source),
-                label(edge.target),
-                edge.weight,
-                edge.score,
-                fmt_opt(edge.raw_score),
-                fmt_opt(edge.std_dev),
-                fmt_opt(edge.p_value),
-                u8::from(kept.contains(&edge.edge_index)),
-            )
+        let kept = self.kept_mask();
+        let io_err = |e: std::io::Error| GraphError::from(e);
+        writer
+            .write_all(b"# source\ttarget\tweight\tscore\traw_score\tstd_dev\tp_value\tkept\n")
             .map_err(io_err)?;
+        let write_optional = |writer: &mut BufWriter<W>, value: Option<f64>| match value {
+            Some(v) => write!(writer, "\t{v}"),
+            None => writer.write_all(b"\tNA"),
+        };
+        for edge in self.scored.iter() {
+            write_edge_fields(graph, edge.source, edge.target, edge.weight, &mut writer)
+                .map_err(io_err)?;
+            write!(writer, "\t{}", edge.score).map_err(io_err)?;
+            write_optional(&mut writer, edge.raw_score).map_err(io_err)?;
+            write_optional(&mut writer, edge.std_dev).map_err(io_err)?;
+            write_optional(&mut writer, edge.p_value).map_err(io_err)?;
+            writeln!(writer, "\t{}", u8::from(kept[edge.edge_index])).map_err(io_err)?;
         }
         writer.flush().map_err(io_err)?;
+        Ok(())
+    }
+
+    /// Reject a graph other than the one this run was made on (by size,
+    /// the check [`Pipeline::run_with_scores`] makes for scores).
+    fn check_graph<G: GraphView>(&self, graph: &G) -> BackboneResult<()> {
+        if graph.node_count() != self.original_nodes || graph.edge_count() != self.original_edges {
+            return Err(BackboneError::InvalidParameter {
+                parameter: "graph",
+                message: format!(
+                    "this run was made on a {}-node / {}-edge graph, but this graph has {} nodes / {} edges",
+                    self.original_nodes,
+                    self.original_edges,
+                    graph.node_count(),
+                    graph.edge_count()
+                ),
+            });
+        }
         Ok(())
     }
 
@@ -488,7 +543,7 @@ impl PipelineRun {
             .usize("edges", self.original_edges);
         let mut backbone = json::JsonObject::inline();
         backbone
-            .usize("nodes_covered", self.backbone.non_isolated_node_count())
+            .usize("nodes_covered", self.nodes_covered)
             .usize("edges", self.kept.len())
             .f64_fixed("edge_share", self.edge_share(), 6)
             .f64_fixed("coverage", self.coverage, 6);
@@ -547,8 +602,9 @@ mod tests {
             .run(&graph)
             .unwrap();
         assert_eq!(run.kept, vec![0, 1]);
-        assert_eq!(run.backbone.edge_count(), 2);
-        assert_eq!(run.backbone.node_count(), graph.node_count());
+        // a–b and b–c cover three nodes.
+        assert_eq!(run.nodes_covered, 3);
+        assert_eq!(run.kept_mask(), vec![true, true, false, false]);
     }
 
     #[test]
@@ -632,15 +688,20 @@ mod tests {
         assert!((run.edge_share() - 0.5).abs() < 1e-12);
 
         let mut backbone_out = Vec::new();
-        run.write_backbone(&mut backbone_out).unwrap();
+        run.write_backbone(&graph, &mut backbone_out).unwrap();
         let text = String::from_utf8(backbone_out).unwrap();
         assert_eq!(text.lines().count(), 1 + run.kept.len());
 
         let mut scores_out = Vec::new();
-        run.write_scores(&mut scores_out).unwrap();
+        run.write_scores(&graph, &mut scores_out).unwrap();
         let table = String::from_utf8(scores_out).unwrap();
         assert_eq!(table.lines().count(), 1 + graph.edge_count());
         assert!(table.contains("a\tb"));
+
+        // The writers read the run's own graph; another graph is refused.
+        let other = complete_graph(3, 1.0).unwrap();
+        assert!(run.write_backbone(&other, Vec::new()).is_err());
+        assert!(run.write_scores(&other, Vec::new()).is_err());
 
         let json = run.summary_json();
         assert!(json.contains("\"method\": \"nc\""));

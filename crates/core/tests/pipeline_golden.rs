@@ -68,7 +68,7 @@ fn every_method_and_policy_matches_its_golden_backbone() {
                 .run(&graph)
                 .unwrap_or_else(|e| panic!("{method} × {policy} failed: {e}"));
             let mut bytes = Vec::new();
-            run.write_backbone(&mut bytes).unwrap();
+            run.write_backbone(&graph, &mut bytes).unwrap();
             let produced = String::from_utf8(bytes).unwrap();
 
             let golden_path = dir.join(format!("{}_{}.tsv", method.cli_name(), policy.kind()));
@@ -93,10 +93,10 @@ fn every_method_and_policy_matches_its_golden_backbone() {
             // backbone's edges and weights.
             let options = EdgeListOptions::with_direction(Direction::Undirected);
             let restored = read_edge_list_str(&produced, &options).unwrap();
-            assert_eq!(restored.edge_count(), run.backbone.edge_count());
-            for edge in run.backbone.edges() {
-                let source = run.backbone.label(edge.source).unwrap();
-                let target = run.backbone.label(edge.target).unwrap();
+            assert_eq!(restored.edge_count(), run.kept.len());
+            for edge in run.kept.iter().map(|&index| graph.edge(index).unwrap()) {
+                let source = graph.label(edge.source).unwrap();
+                let target = graph.label(edge.target).unwrap();
                 let restored_source = restored.node_by_label(source).unwrap();
                 let restored_target = restored.node_by_label(target).unwrap();
                 assert_eq!(

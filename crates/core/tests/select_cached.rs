@@ -46,15 +46,15 @@ fn policies(method: Method) -> [ThresholdPolicy; 4] {
     ]
 }
 
-fn backbone_bytes(run: &PipelineRun) -> Vec<u8> {
+fn backbone_bytes(graph: &WeightedGraph, run: &PipelineRun) -> Vec<u8> {
     let mut out = Vec::new();
-    run.write_backbone(&mut out).expect("write backbone");
+    run.write_backbone(graph, &mut out).expect("write backbone");
     out
 }
 
-fn score_bytes(run: &PipelineRun) -> Vec<u8> {
+fn score_bytes(graph: &WeightedGraph, run: &PipelineRun) -> Vec<u8> {
     let mut out = Vec::new();
-    run.write_scores(&mut out).expect("write scores");
+    run.write_scores(graph, &mut out).expect("write scores");
     out
 }
 
@@ -87,13 +87,13 @@ fn score_once_select_many_equals_run_per_policy() {
             assert_eq!(cached.scored, fresh.scored, "{label}: scored edges");
             assert_eq!(cached.coverage, fresh.coverage, "{label}: coverage");
             assert_eq!(
-                backbone_bytes(&cached),
-                backbone_bytes(&fresh),
+                backbone_bytes(&graph, &cached),
+                backbone_bytes(&graph, &fresh),
                 "{label}: backbone bytes"
             );
             assert_eq!(
-                score_bytes(&cached),
-                score_bytes(&fresh),
+                score_bytes(&graph, &cached),
+                score_bytes(&graph, &fresh),
                 "{label}: score table bytes"
             );
             assert_eq!(

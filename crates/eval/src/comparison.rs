@@ -75,6 +75,13 @@ pub const DEFAULT_METHODS: [Method; 3] = [
     Method::HighSalienceSkeleton,
 ];
 
+/// The most noise resamples one comparison may run. Every resample
+/// re-scores each method on a perturbed copy of the graph, and the trial
+/// list is allocated up front, so [`Comparison::new`] rejects larger counts:
+/// `backbone compare --resamples` and the server's `/compare?resamples=`
+/// share this cap.
+pub const MAX_NOISE_RESAMPLES: usize = 1000;
+
 /// Configuration of a backbone comparison run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ComparisonConfig {
@@ -88,7 +95,7 @@ pub struct ComparisonConfig {
     /// `[1 − noise_level, 1 + noise_level]`. In `[0, 1)`.
     pub noise_level: f64,
     /// Number of Monte Carlo noise resamples (`0` skips the stability
-    /// metric entirely).
+    /// metric entirely), at most [`MAX_NOISE_RESAMPLES`].
     pub noise_resamples: usize,
     /// Base seed of the noise Monte Carlo; resample `i` derives its own
     /// generator from `(seed, i)`, so results are reproducible.
@@ -450,9 +457,9 @@ pub struct Comparison {
 
 impl Comparison {
     /// Validate a configuration. Rejects an empty or duplicated method list,
-    /// a `top_share` outside `[0, 1]`, and a `noise_level` outside `[0, 1)`
+    /// a `top_share` outside `[0, 1]`, a `noise_level` outside `[0, 1)`
     /// (a level of 1 could zero out an edge weight, which a weighted graph
-    /// cannot represent).
+    /// cannot represent), and more than [`MAX_NOISE_RESAMPLES`] resamples.
     pub fn new(config: ComparisonConfig) -> BackboneResult<Comparison> {
         if config.methods.is_empty() {
             return Err(BackboneError::InvalidParameter {
@@ -478,6 +485,15 @@ impl Comparison {
             return Err(BackboneError::InvalidParameter {
                 parameter: "noise_level",
                 message: format!("must lie in [0, 1), got {}", config.noise_level),
+            });
+        }
+        if config.noise_resamples > MAX_NOISE_RESAMPLES {
+            return Err(BackboneError::InvalidParameter {
+                parameter: "noise_resamples",
+                message: format!(
+                    "must be at most {MAX_NOISE_RESAMPLES}, got {}",
+                    config.noise_resamples
+                ),
             });
         }
         Ok(Comparison { config })
@@ -827,6 +843,19 @@ mod tests {
             ..base.clone()
         })
         .is_err());
+        // The resample cap is inclusive; a larger count is refused before
+        // any trial is allocated.
+        assert!(Comparison::new(ComparisonConfig {
+            noise_resamples: MAX_NOISE_RESAMPLES,
+            ..base.clone()
+        })
+        .is_ok());
+        let err = Comparison::new(ComparisonConfig {
+            noise_resamples: 1_000_000_000_000,
+            ..base.clone()
+        })
+        .unwrap_err();
+        assert!(err.to_string().contains("at most 1000"), "{err}");
         assert!(Comparison::new(base).is_ok());
     }
 

@@ -5,7 +5,9 @@
 //! instead of a `Vec` per node) and parallel dense edge arrays in edge-id
 //! order. A 10M-edge undirected graph costs ~48 bytes per edge here versus
 //! several hundred in the adjacency-map [`WeightedGraph`], which remains as a
-//! mutable builder/compat shim for small graphs and backbone outputs.
+//! mutable builder/compat shim for small graphs. The node label table is
+//! shared behind an `Arc`, so a clone or a reweighted copy
+//! ([`CsrGraph::with_reweighted_edges`]) never copies the labels.
 //!
 //! Structure invariants (shared with [`WeightedGraph`], pinned by the parity
 //! suite):
@@ -29,6 +31,7 @@
 use std::collections::HashMap;
 use std::mem::size_of;
 use std::ops::Range;
+use std::sync::Arc;
 
 use crate::error::{GraphError, GraphResult};
 use crate::graph::{Direction, EdgeRef, NodeId, WeightedGraph};
@@ -73,8 +76,9 @@ pub struct CsrGraph {
     /// In-degree per node (directed graphs only; empty for undirected, where
     /// in-degree equals the row length).
     in_degrees: Vec<u32>,
-    /// Node labels (empty when the graph is unlabeled).
-    labels: Vec<Option<String>>,
+    /// Node labels (empty when the graph is unlabeled). Shared: clones and
+    /// reweighted copies point at one table instead of copying V strings.
+    labels: Arc<Vec<Option<String>>>,
 }
 
 impl CsrGraph {
@@ -139,7 +143,7 @@ impl CsrGraph {
             edge_targets,
             edge_weights,
             in_degrees,
-            labels,
+            labels: Arc::new(labels),
         })
     }
 
@@ -161,7 +165,8 @@ impl CsrGraph {
     /// A copy of this graph with the listed edges' weights replaced —
     /// `(edge id, new weight)` pairs. Structure (node ids, edge ids,
     /// adjacency order) is untouched, so the result is bit-identical to
-    /// rebuilding the graph from the reweighted edge list.
+    /// rebuilding the graph from the reweighted edge list. The copy shares
+    /// this graph's label table.
     pub fn with_reweighted_edges(&self, updates: &[(usize, f64)]) -> GraphResult<CsrGraph> {
         let mut graph = self.clone();
         for &(edge, weight) in updates {
@@ -357,8 +362,9 @@ impl CsrGraph {
     /// Build an adjacency-map graph with the same node set (and labels)
     /// containing only the edges whose dense ids are listed in
     /// `edge_indices` — semantics identical to
-    /// [`WeightedGraph::subgraph_with_edges`]. Backbones are small, so the
-    /// mutable representation is the right output type.
+    /// [`WeightedGraph::subgraph_with_edges`]. This copies every node label;
+    /// to write a backbone, [`crate::io::write_edges`] reads the kept edges
+    /// from this graph by id instead.
     pub fn subgraph_with_edges(&self, edge_indices: &[usize]) -> GraphResult<WeightedGraph> {
         let mut subgraph = WeightedGraph::new(self.direction);
         for node in self.nodes() {
@@ -667,7 +673,7 @@ impl CsrBuilder {
             edge_targets,
             edge_weights,
             in_degrees,
-            labels,
+            labels: Arc::new(labels),
         })
     }
 }
@@ -934,6 +940,44 @@ mod tests {
             );
         }
         assert!(csr.subgraph_with_edges(&[99]).is_err());
+    }
+
+    #[test]
+    fn reweighted_copies_share_the_label_table() {
+        let reference = WeightedGraph::from_labeled_edges(
+            Direction::Undirected,
+            vec![
+                ("a", "b", 1.0),
+                ("b", "c", 2.0),
+                ("c", "c", 0.5),
+                ("c", "d", 3.0),
+            ],
+        )
+        .unwrap();
+        let csr = CsrGraph::from_graph(&reference).unwrap();
+        let updates = [(1, 7.0), (2, 0.0), (1, 9.5)];
+        let reweighted = csr.with_reweighted_edges(&updates).unwrap();
+        assert!(Arc::ptr_eq(&reweighted.labels, &csr.labels));
+        assert!(Arc::ptr_eq(&csr.clone().labels, &csr.labels));
+
+        // Sharing changes nothing observable: the copy equals the graph
+        // rebuilt from the reweighted edge list.
+        let mut rebuilt = CsrBuilder::new(Direction::Undirected);
+        for edge in csr.edges() {
+            let weight = updates
+                .iter()
+                .rev()
+                .find(|&&(id, _)| id == edge.index)
+                .map_or(edge.weight, |&(_, weight)| weight);
+            rebuilt
+                .add_labeled_edge(
+                    csr.label(edge.source).unwrap(),
+                    csr.label(edge.target).unwrap(),
+                    weight,
+                )
+                .unwrap();
+        }
+        assert_eq!(reweighted, rebuilt.finish().unwrap());
     }
 
     #[test]

@@ -48,7 +48,7 @@ use std::path::Path;
 
 use crate::csr::{CsrBuilder, CsrGraph};
 use crate::error::{GraphError, GraphResult};
-use crate::graph::{Direction, WeightedGraph};
+use crate::graph::{Direction, NodeId, WeightedGraph};
 use crate::view::GraphView;
 
 /// The source name used in error messages when none is supplied.
@@ -254,21 +254,64 @@ pub fn read_edge_list_csr_file(
 /// Accepts either representation through [`GraphView`]. Nodes without labels
 /// are written as their numeric id.
 pub fn write_edge_list<G: GraphView, W: Write>(graph: &G, writer: W) -> GraphResult<()> {
+    write_edges(graph, 0..graph.edge_count(), writer)
+}
+
+/// Write the edges with the listed dense ids, in list order, in the
+/// [`write_edge_list`] format.
+///
+/// For a duplicate-free id list the bytes equal
+/// `write_edge_list(&graph.subgraph_with_edges(ids))`, but no subgraph is
+/// built: each line is read from `graph` by edge id. An id out of range is
+/// an error, as in [`GraphView::subgraph_with_edges`].
+pub fn write_edges<G, W, I>(graph: &G, edge_ids: I, writer: W) -> GraphResult<()>
+where
+    G: GraphView,
+    W: Write,
+    I: IntoIterator<Item = usize>,
+{
     let mut writer = BufWriter::new(writer);
-    writeln!(writer, "# source\ttarget\tweight")?;
-    for edge in graph.edges() {
-        let source = graph
-            .label(edge.source)
-            .map(str::to_string)
-            .unwrap_or_else(|| edge.source.to_string());
-        let target = graph
-            .label(edge.target)
-            .map(str::to_string)
-            .unwrap_or_else(|| edge.target.to_string());
-        writeln!(writer, "{source}\t{target}\t{}", edge.weight)?;
+    writer.write_all(b"# source\ttarget\tweight\n")?;
+    for index in edge_ids {
+        let edge = graph
+            .edge(index)
+            .ok_or_else(|| GraphError::InvalidParameter {
+                parameter: "edge_indices",
+                message: format!("edge index {index} out of bounds"),
+            })?;
+        write_edge_fields(graph, edge.source, edge.target, edge.weight, &mut writer)?;
+        writer.write_all(b"\n")?;
     }
     writer.flush()?;
     Ok(())
+}
+
+/// Write one edge's `source<TAB>target<TAB>weight` fields, without a line
+/// terminator, straight into `writer`: each endpoint as its label in
+/// `graph`, or as its numeric id when unlabeled. Every edge-list line and
+/// every scored-edge row starts with these fields.
+pub fn write_edge_fields<G: GraphView, W: Write>(
+    graph: &G,
+    source: NodeId,
+    target: NodeId,
+    weight: f64,
+    writer: &mut W,
+) -> std::io::Result<()> {
+    write_node(graph, source, writer)?;
+    writer.write_all(b"\t")?;
+    write_node(graph, target, writer)?;
+    write!(writer, "\t{weight}")
+}
+
+fn write_node<G: GraphView, W: Write>(
+    graph: &G,
+    node: NodeId,
+    writer: &mut W,
+) -> std::io::Result<()> {
+    match graph.label(node) {
+        Some(label) => writer.write_all(label.as_bytes()),
+        None => write!(writer, "{node}"),
+    }
 }
 
 /// Write a graph as a tab-separated edge list to a file.
@@ -381,6 +424,19 @@ mod tests {
                     .unwrap_err();
             assert_eq!(adjacency, csr, "{bad:?}");
         }
+    }
+
+    #[test]
+    fn write_edges_follows_the_id_list_and_rejects_unknown_ids() {
+        let options = EdgeListOptions::default();
+        let graph = read_edge_list_csr_str("a b 1\nb c 2\nc a 3.5\n", &options).unwrap();
+        let mut out = Vec::new();
+        write_edges(&graph, [2, 0], &mut out).unwrap();
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "# source\ttarget\tweight\nc\ta\t3.5\na\tb\t1\n"
+        );
+        assert!(write_edges(&graph, [3], Vec::new()).is_err());
     }
 
     #[test]

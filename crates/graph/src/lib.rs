@@ -14,7 +14,7 @@
 //!   scalability experiments (Figure 9) operate on.
 //! * [`WeightedGraph`] — the mutable adjacency-list builder/compat shim with
 //!   node labels and O(1) edge lookup, used for small graphs, fixtures and
-//!   backbone outputs.
+//!   materialized backbone subgraphs.
 //! * [`GraphView`] — the read-only trait both implement, over which the
 //!   scoring pipeline is generic (bit-identical results on either
 //!   representation).

@@ -10,9 +10,10 @@
 //! order, which is what makes the two paths bit-identical (pinned by the
 //! parity suite).
 //!
-//! Backbone outputs are always a [`WeightedGraph`]: a backbone is small by
-//! construction, so the mutable, label-preserving representation is the
-//! right type regardless of what the input was.
+//! [`GraphView::subgraph_with_edges`] materializes a backbone as a
+//! [`WeightedGraph`] for callers that need a graph; writing one needs no
+//! subgraph at all ([`crate::io::write_edges`] reads the kept edges from the
+//! input graph by id).
 
 use std::borrow::Cow;
 use std::ops::Range;

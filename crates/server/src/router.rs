@@ -38,13 +38,14 @@
 //! graph, so only the *first* request for a configuration pays the noise
 //! Monte Carlo. See `docs/API.md` for the full reference.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use backboning::json::{self, JsonArray, JsonObject};
 use backboning::{Method, Pipeline, PipelineRun, ThresholdPolicy};
 use backboning_eval::comparison;
 use backboning_graph::io::read_edge_list_csr_named;
-use backboning_graph::{Direction, GraphError};
+use backboning_graph::{CsrGraph, Direction, GraphError, NodeId};
 
 use crate::http::{Request, Response};
 use crate::metrics::{metrics_response, ServerMetrics};
@@ -439,7 +440,7 @@ fn backbone(registry: &Registry, name: &str, request: &Request) -> Response {
         Ok(run) => run,
         Err(err) => return Response::error(400, &err.to_string()),
     };
-    render(&entry, &run, output, as_json)
+    render(&entry, state.graph(), &run, output, as_json)
 }
 
 /// Parse the comparison configuration from the request's query parameters,
@@ -556,7 +557,16 @@ fn compare(registry: &Registry, name: &str, request: &Request) -> Response {
     Response::json(200, body)
 }
 
-fn render(entry: &GraphEntry, run: &PipelineRun, output: Output, as_json: bool) -> Response {
+/// Render one backbone query's answer. Labels, endpoints and weights come
+/// from `graph`, the snapshot the run was made on; no backbone subgraph is
+/// built.
+fn render(
+    entry: &GraphEntry,
+    graph: &CsrGraph,
+    run: &PipelineRun,
+    output: Output,
+    as_json: bool,
+) -> Response {
     match (output, as_json) {
         (Output::Summary, _) => {
             let mut body = JsonObject::pretty();
@@ -566,22 +576,24 @@ fn render(entry: &GraphEntry, run: &PipelineRun, output: Output, as_json: bool) 
         }
         (Output::Backbone, false) => {
             let mut body = Vec::new();
-            if let Err(err) = run.write_backbone(&mut body) {
+            if let Err(err) = run.write_backbone(graph, &mut body) {
                 return Response::error(500, &err.to_string());
             }
             Response::tsv(200, body)
         }
         (Output::Scores, false) => {
             let mut body = Vec::new();
-            if let Err(err) = run.write_scores(&mut body) {
+            if let Err(err) = run.write_scores(graph, &mut body) {
                 return Response::error(500, &err.to_string());
             }
             Response::tsv(200, body)
         }
         (Output::Backbone, true) => {
-            let graph = &run.backbone;
             let mut edges = JsonArray::new();
-            for edge in graph.edges() {
+            for &index in &run.kept {
+                let edge = graph
+                    .edge(index)
+                    .expect("kept ids are edge ids of the run's graph");
                 let mut object = JsonObject::inline();
                 object
                     .string("source", &node_label(graph, edge.source))
@@ -597,17 +609,17 @@ fn render(entry: &GraphEntry, run: &PipelineRun, output: Output, as_json: bool) 
             Response::json(200, finish_line(&mut body))
         }
         (Output::Scores, true) => {
-            let kept: std::collections::HashSet<usize> = run.kept.iter().copied().collect();
+            let kept = run.kept_mask();
             let mut rows = JsonArray::new();
             for edge in run.scored.iter() {
                 let mut object = JsonObject::inline();
                 object
-                    .string("source", &node_label(&run.backbone, edge.source))
-                    .string("target", &node_label(&run.backbone, edge.target))
+                    .string("source", &node_label(graph, edge.source))
+                    .string("target", &node_label(graph, edge.target))
                     .f64("weight", edge.weight)
                     .f64("score", edge.score)
                     .raw("p_value", &optional_number(edge.p_value))
-                    .bool("kept", kept.contains(&edge.edge_index));
+                    .bool("kept", kept[edge.edge_index]);
                 rows.raw(&object.finish());
             }
             let mut body = JsonObject::pretty();
@@ -626,9 +638,9 @@ fn optional_number(value: Option<f64>) -> String {
     }
 }
 
-fn node_label(graph: &backboning_graph::WeightedGraph, node: backboning_graph::NodeId) -> String {
+/// A node's label, or its numeric id when unlabeled.
+fn node_label(graph: &CsrGraph, node: NodeId) -> Cow<'_, str> {
     graph
         .label(node)
-        .map(str::to_string)
-        .unwrap_or_else(|| node.to_string())
+        .map_or_else(|| Cow::Owned(node.to_string()), Cow::Borrowed)
 }

@@ -568,11 +568,19 @@ fn compare_route_rejects_bad_requests() {
         ("/graphs/trade/compare?noise=1.0", 400),
         ("/graphs/trade/compare?resamples=x", 400),
         ("/graphs/trade/compare?seed=-1", 400),
+        // Above the resample cap: refused before the Monte Carlo would
+        // allocate its 8 TB trial list and abort the process.
+        ("/graphs/trade/compare?resamples=1000000000000", 400),
     ] {
         let (status, body) = get(&server, path);
         assert_eq!(status, expected, "{path}: {}", text(&body));
         assert!(text(&body).contains("\"error\":"), "{path}");
     }
+    let (_, body) = get(&server, "/graphs/trade/compare?resamples=1000000000000");
+    assert!(text(&body).contains("at most 1000"), "{}", text(&body));
+    // The server is still up.
+    let (status, _) = get(&server, "/health");
+    assert_eq!(status, 200);
     // Wrong verb → 405.
     let (status, _) = post(&server, "/graphs/trade/compare", "");
     assert_eq!(status, 405);
