@@ -22,6 +22,11 @@ echo "==> tier-1 verify: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+echo "==> graph crate tests in release mode (no overflow checks)"
+# CsrBuilder::finish indexes with u32 arithmetic; release builds turn the
+# overflow checks of the debug run above off, so its tests run there too.
+cargo test --release -q -p backboning_graph
+
 echo "==> benchmark harness: build and test perfbench against the current crates"
 # perfbench is a workspace of its own, so `cargo test` above skips it; an API
 # change that breaks the harness fails here rather than in the next

@@ -181,6 +181,20 @@ fn malformed_input_fails_with_named_source_and_exit_1() {
 }
 
 #[test]
+fn empty_node_names_fail_with_exit_1() {
+    for (flag, text) in [("--csv", "a,b,1\na,,3\n"), ("--tsv", "a\tb\t1\na\t\t3\n")] {
+        let output = run_with_stdin(&["--method", "nc", "--top-k", "2", flag], Some(text));
+        assert_eq!(output.status.code(), Some(1), "{flag}");
+        assert!(output.stdout.is_empty(), "{flag}");
+        let err = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            err.contains("<stdin>: line 2: empty target node name"),
+            "{flag}: `{err}`"
+        );
+    }
+}
+
+#[test]
 fn missing_file_fails_with_named_path_and_exit_1() {
     let output = run_with_stdin(
         &["--method", "nc", "--top-k", "2", "/no/such/file.tsv"],

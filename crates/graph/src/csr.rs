@@ -28,6 +28,7 @@
 //!
 //! [`CsrDijkstra`]: crate::algorithms::shortest_path::CsrDijkstra
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::mem::size_of;
 use std::ops::Range;
@@ -408,11 +409,13 @@ impl CsrGraph {
 
 /// Streaming builder for [`CsrGraph`]: push `(source, target, weight)` edges
 /// one at a time (by index or by label) and [`CsrBuilder::finish`] into the
-/// compact form. No intermediate [`WeightedGraph`] and no per-edge hash
-/// lookup is involved: duplicate detection is a post-hoc sort over the
-/// collected triples, which reproduces [`WeightedGraph::add_edge`]'s
-/// left-to-right duplicate accumulation bit-exactly (pinned by the ingestion
-/// parity suite).
+/// compact form. No intermediate [`WeightedGraph`] is involved. A labelled
+/// edge costs one label-map lookup per endpoint, and each label is stored
+/// once: the map owns it while building and [`CsrBuilder::finish`] moves it
+/// into the graph's label table. Edges are only appended while building;
+/// `finish` finds duplicates with a counting sort by source, which
+/// reproduces [`WeightedGraph::add_edge`]'s left-to-right duplicate
+/// accumulation bit-exactly (pinned by the ingestion parity suite).
 #[derive(Debug, Clone)]
 pub struct CsrBuilder {
     direction: Direction,
@@ -420,9 +423,13 @@ pub struct CsrBuilder {
     sources: Vec<u32>,
     targets: Vec<u32>,
     weights: Vec<f64>,
-    labels: Vec<Option<String>>,
+    /// Every labelled node's label and id.
     label_index: HashMap<String, u32>,
 }
+
+/// Marks a pushed edge that repeats an earlier one in [`CsrBuilder::finish`]:
+/// node ids stay below `u32::MAX`, so no real source equals it.
+const REPEATED: u32 = u32::MAX;
 
 impl CsrBuilder {
     /// Start a builder with no declared nodes (node count grows with the
@@ -434,7 +441,6 @@ impl CsrBuilder {
             sources: Vec::new(),
             targets: Vec::new(),
             weights: Vec::new(),
-            labels: Vec::new(),
             label_index: HashMap::new(),
         }
     }
@@ -451,8 +457,9 @@ impl CsrBuilder {
 
     /// Start a builder with `node_count` pre-declared nodes carrying an
     /// existing label table (shorter tables are padded with unlabeled
-    /// nodes; an empty table declares every node unlabeled). Used to
-    /// rebuild a compact graph without re-interning labels.
+    /// nodes; a table without labels declares every node unlabeled). Used
+    /// to rebuild a compact graph without re-interning labels: the table's
+    /// strings move into the builder, none is copied.
     pub fn with_labeled_nodes(
         direction: Direction,
         node_count: usize,
@@ -465,21 +472,21 @@ impl CsrBuilder {
             });
         }
         let mut builder = CsrBuilder::with_nodes(direction, node_count)?;
-        for (id, label) in labels.iter().enumerate() {
-            if let Some(label) = label {
-                if builder
-                    .label_index
-                    .insert(label.clone(), id as u32)
-                    .is_some()
-                {
+        builder.label_index.reserve(labels.len());
+        for (id, label) in labels.into_iter().enumerate() {
+            let Some(label) = label else { continue };
+            match builder.label_index.entry(label) {
+                Entry::Occupied(taken) => {
                     return Err(GraphError::InvalidParameter {
                         parameter: "labels",
-                        message: format!("duplicate node label `{label}`"),
+                        message: format!("duplicate node label `{}`", taken.key()),
                     });
+                }
+                Entry::Vacant(slot) => {
+                    slot.insert(id as u32);
                 }
             }
         }
-        builder.labels = labels;
         Ok(builder)
     }
 
@@ -507,11 +514,6 @@ impl CsrBuilder {
         }
         check_capacity("nodes", self.node_count as u64 + 1)?;
         let id = self.node_count as u32;
-        // Pad any pre-declared unlabeled nodes so label slots line up.
-        while self.labels.len() < self.node_count {
-            self.labels.push(None);
-        }
-        self.labels.push(Some(label.to_string()));
         self.label_index.insert(label.to_string(), id);
         self.node_count += 1;
         Ok(id as NodeId)
@@ -552,58 +554,85 @@ impl CsrBuilder {
         let CsrBuilder {
             direction,
             node_count,
-            sources,
-            targets,
-            weights,
-            mut labels,
+            sources: mut edge_sources,
+            targets: mut edge_targets,
+            weights: mut edge_weights,
             label_index,
         } = self;
-        drop(label_index);
-        while labels.len() < node_count && !labels.is_empty() {
-            labels.push(None);
-        }
-
-        // Sort push-order indices by canonical endpoint key, ties by push
-        // order; equal-key runs then list every occurrence of one edge in
-        // arrival order.
-        let key = |i: usize| (u64::from(sources[i]) << 32) | u64::from(targets[i]);
-        let mut order: Vec<usize> = (0..weights.len()).collect();
-        order.sort_unstable_by_key(|&i| (key(i), i));
-
-        // Merge each run: the first occurrence fixes the edge's identity and
-        // later occurrences accumulate left to right, exactly like repeated
-        // `WeightedGraph::add_edge` calls.
-        let mut merged: Vec<(usize, u32, u32, f64)> = Vec::with_capacity(order.len());
-        let mut cursor = 0;
-        while cursor < order.len() {
-            let first = order[cursor];
-            let run_key = key(first);
-            let mut weight = weights[first];
-            cursor += 1;
-            while cursor < order.len() && key(order[cursor]) == run_key {
-                weight += weights[order[cursor]];
-                cursor += 1;
+        let labels = if label_index.is_empty() {
+            Vec::new()
+        } else {
+            let mut labels = vec![None; node_count];
+            for (label, id) in label_index {
+                labels[id as usize] = Some(label);
             }
-            merged.push((first, sources[first], targets[first], weight));
-        }
-        // Dense edge ids follow first-occurrence order.
-        merged.sort_unstable_by_key(|&(first, _, _, _)| first);
-        check_capacity("edges", merged.len() as u64)?;
-        drop(order);
-        drop(sources);
-        drop(targets);
-        drop(weights);
+            labels
+        };
 
-        let edge_count = merged.len();
-        let mut edge_sources = Vec::with_capacity(edge_count);
-        let mut edge_targets = Vec::with_capacity(edge_count);
-        let mut edge_weights = Vec::with_capacity(edge_count);
-        for &(_, source, target, weight) in &merged {
-            edge_sources.push(source);
-            edge_targets.push(target);
-            edge_weights.push(weight);
+        // Bucket push indices by source with a stable counting sort, so each
+        // bucket lists one source's pushes in arrival order. `bucket_end`
+        // holds the bucket starts while filling and the ends afterwards.
+        let pushed = edge_weights.len();
+        let mut bucket_end = vec![0u32; node_count];
+        for &source in &edge_sources {
+            bucket_end[source as usize] += 1;
         }
-        drop(merged);
+        let mut start = 0u32;
+        for slot in &mut bucket_end {
+            let count = *slot;
+            *slot = start;
+            start += count;
+        }
+        let mut order = vec![0u32; pushed];
+        for (push, &source) in edge_sources.iter().enumerate() {
+            let slot = &mut bucket_end[source as usize];
+            order[*slot as usize] = push as u32;
+            *slot += 1;
+        }
+
+        // Walk each bucket once. `first_seen[t]` is 1 + the bucket position
+        // of target `t`'s first push; a value above the bucket start means
+        // `t` already occurred in this bucket, so the push repeats that edge:
+        // its weight joins the first occurrence, left to right exactly like
+        // repeated `WeightedGraph::add_edge` calls, and it is marked.
+        let mut first_seen = vec![0u32; node_count];
+        let mut bucket_start = 0u32;
+        for &end in &bucket_end {
+            for position in bucket_start..end {
+                let push = order[position as usize] as usize;
+                let target = edge_targets[push] as usize;
+                let seen = first_seen[target];
+                if seen > bucket_start {
+                    let first = order[seen as usize - 1] as usize;
+                    edge_weights[first] += edge_weights[push];
+                    edge_sources[push] = REPEATED;
+                } else {
+                    first_seen[target] = position + 1;
+                }
+            }
+            bucket_start = end;
+        }
+        drop(order);
+        drop(bucket_end);
+        drop(first_seen);
+
+        // Dense edge ids follow first-occurrence order: keep the unmarked
+        // pushes, in push order, in place.
+        let mut edge_count = 0;
+        for push in 0..pushed {
+            if edge_sources[push] != REPEATED {
+                edge_sources[edge_count] = edge_sources[push];
+                edge_targets[edge_count] = edge_targets[push];
+                edge_weights[edge_count] = edge_weights[push];
+                edge_count += 1;
+            }
+        }
+        edge_sources.truncate(edge_count);
+        edge_targets.truncate(edge_count);
+        edge_weights.truncate(edge_count);
+        edge_sources.shrink_to_fit();
+        edge_targets.shrink_to_fit();
+        edge_weights.shrink_to_fit();
 
         // Row sizes, then a counting sort appending the edges in id order:
         // this reproduces the adjacency-map push order (source row first,
@@ -887,6 +916,20 @@ mod tests {
         )
         .unwrap();
         assert_eq!(csr, CsrGraph::from_graph(&reference).unwrap());
+    }
+
+    #[test]
+    fn labeled_builder_rejects_duplicate_labels() {
+        let labels = vec![Some("a".to_string()), None, Some("a".to_string())];
+        assert_eq!(
+            CsrBuilder::with_labeled_nodes(Direction::Directed, 3, labels).unwrap_err(),
+            GraphError::InvalidParameter {
+                parameter: "labels",
+                message: "duplicate node label `a`".to_string(),
+            }
+        );
+        let too_many = vec![None, None];
+        assert!(CsrBuilder::with_labeled_nodes(Direction::Directed, 1, too_many).is_err());
     }
 
     #[test]

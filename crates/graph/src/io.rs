@@ -9,7 +9,8 @@
 //! [`BufRead`] source (a file, stdin, a byte slice), so arbitrarily large
 //! edge lists are ingested without buffering the whole file or materializing
 //! an intermediate `Vec` of parsed lines. Parse failures report the offending
-//! source name and line number.
+//! source name and line number. A node name may not be empty, and one
+//! byte-order mark (U+FEFF) leading the input is dropped.
 //!
 //! Two families of readers share one parser:
 //!
@@ -91,8 +92,14 @@ impl EdgeListOptions {
 /// The shared streaming parser: feed every data line's
 /// `(source, target, weight)` to `sink`, wrapping both parse failures and
 /// sink errors with `source_name` and the 1-based line number.
+///
+/// One `String` is refilled for every line and only the first three fields
+/// are split off, so parsing a line allocates nothing. A leading U+FEFF
+/// byte-order mark on line 1 is dropped, and an empty source or target name
+/// (possible only with an explicit separator, as in `a,,3`) is an error
+/// rather than a node labelled `""`.
 fn parse_edge_lines<R, F>(
-    reader: R,
+    mut reader: R,
     options: &EdgeListOptions,
     source_name: &str,
     mut sink: F,
@@ -102,12 +109,22 @@ where
     F: FnMut(&str, &str, f64) -> GraphResult<()>,
 {
     let mut skipped_header = !options.has_header;
-    for (line_index, line) in reader.lines().enumerate() {
-        let line_number = line_index + 1;
-        let line = line.map_err(|e| GraphError::Io {
-            message: format!("{source_name}: line {line_number}: {e}"),
+    let mut line = String::new();
+    let mut line_number = 0usize;
+    loop {
+        line.clear();
+        let read = reader.read_line(&mut line).map_err(|e| GraphError::Io {
+            message: format!("{source_name}: line {}: {e}", line_number + 1),
         })?;
-        let trimmed = line.trim();
+        if read == 0 {
+            return Ok(());
+        }
+        line_number += 1;
+        let mut text = line.as_str();
+        if line_number == 1 {
+            text = text.strip_prefix('\u{feff}').unwrap_or(text);
+        }
+        let trimmed = text.trim();
         if trimmed.is_empty() {
             continue;
         }
@@ -120,18 +137,27 @@ where
             skipped_header = true;
             continue;
         }
-        let fields: Vec<&str> = match options.separator {
-            Some(separator) => trimmed.split(separator).map(str::trim).collect(),
-            None => trimmed.split_whitespace().collect(),
+        let (fields, count) = match options.separator {
+            Some(separator) => first_three(trimmed.split(separator).map(str::trim)),
+            None => first_three(trimmed.split_whitespace()),
         };
-        if fields.len() < 2 {
+        if count < 2 {
             return Err(GraphError::Io {
                 message: format!(
                     "{source_name}: line {line_number}: expected at least `source target`, got `{trimmed}`"
                 ),
             });
         }
-        let weight = if fields.len() >= 3 {
+        for (field, role) in fields[..2].iter().zip(["source", "target"]) {
+            if field.is_empty() {
+                return Err(GraphError::Io {
+                    message: format!(
+                        "{source_name}: line {line_number}: empty {role} node name in `{trimmed}`"
+                    ),
+                });
+            }
+        }
+        let weight = if count == 3 {
             fields[2].parse::<f64>().map_err(|_| GraphError::Io {
                 message: format!(
                     "{source_name}: line {line_number}: cannot parse weight `{}`",
@@ -145,14 +171,26 @@ where
             message: format!("{source_name}: line {line_number}: {e}"),
         })?;
     }
-    Ok(())
+}
+
+/// The first three items of `fields` and how many there were (at most 3);
+/// later items are never split off.
+fn first_three<'a>(fields: impl Iterator<Item = &'a str>) -> ([&'a str; 3], usize) {
+    let mut first = [""; 3];
+    let mut count = 0;
+    for (slot, field) in first.iter_mut().zip(fields) {
+        *slot = field;
+        count += 1;
+    }
+    (first, count)
 }
 
 /// Parse a weighted edge list from any reader.
 ///
 /// Each data line must contain `source target [weight]`; when the weight
-/// column is missing the edge gets weight 1. Node names are arbitrary strings
-/// and become node labels. Duplicate edges accumulate their weights.
+/// column is missing the edge gets weight 1. Node names are arbitrary
+/// non-empty strings and become node labels. Duplicate edges accumulate
+/// their weights.
 ///
 /// Error messages use a generic source name; use [`read_edge_list_named`]
 /// (or [`read_edge_list_file`], which names the file automatically) to report

@@ -2,7 +2,10 @@
 //!
 //! * the streaming CSR edge-list reader must agree with the in-memory
 //!   adjacency reader on **every** input — well-formed, malformed, and
-//!   degenerate alike (same graph on success, same error message on failure);
+//!   degenerate alike (same graph on success, same error message on failure),
+//!   and neither may panic on arbitrary bytes;
+//! * every way of feeding [`CsrBuilder`] duplicate-heavy edges must equal the
+//!   adjacency-map oracle bit for bit (its `f64` weights compared exactly);
 //! * union-find connectivity (the engine behind `algorithms::components` and
 //!   the comparison report) must match an independent BFS reference, on both
 //!   the adjacency graph and its CSR image.
@@ -12,7 +15,7 @@ use proptest::prelude::*;
 use backboning_graph::algorithms::components::{component_count, largest_component_size};
 use backboning_graph::algorithms::union_find::UnionFind;
 use backboning_graph::io::{read_edge_list_csr_named, read_edge_list_named, EdgeListOptions};
-use backboning_graph::{CsrGraph, Direction, GraphView, WeightedGraph};
+use backboning_graph::{CsrBuilder, CsrGraph, Direction, GraphView, WeightedGraph};
 
 const LABELS: [&str; 6] = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"];
 
@@ -40,6 +43,161 @@ fn edge_list_text() -> impl Strategy<Value = String> {
         }
         text
     })
+}
+
+/// Reader-fuzz tokens for the first two fields of a line: plain,
+/// numeric, comment-mark-bearing and non-ASCII labels.
+const LABEL_TOKENS: [&[u8]; 8] = [
+    b"alpha",
+    b"beta",
+    b"gamma",
+    b"delta",
+    b"7",
+    b"x#y",
+    "\u{fc}ber".as_bytes(),
+    b"-",
+];
+
+/// Reader-fuzz tokens for the third field on: weights that parse.
+const WEIGHT_TOKENS: [&[u8]; 8] = [b"1.5", b"0", b"12", b"3e2", b"0.1", b"2", b"+4", b"1e-3"];
+
+/// Reader-fuzz tokens that may stand in any field: weights the reader must
+/// reject (`nan`, negative, overflowing to infinity), a comment mark, a
+/// byte-order mark, an empty field, and bytes that are not UTF-8.
+const RARE_TOKENS: [&[u8]; 8] = [
+    b"nan",
+    b"-2",
+    b"1e400",
+    b"#",
+    "\u{feff}".as_bytes(),
+    b"",
+    b"\xff",
+    b"\xe3\x80",
+];
+
+/// Field gaps other than the one the options name: ASCII and Unicode
+/// (U+00A0, U+3000) spaces, doubled separators that leave an empty field,
+/// and a bare carriage return.
+const STRAY_GAPS: [&[u8]; 8] = [
+    b",",
+    b"\t",
+    b"  ",
+    "\u{a0}".as_bytes(),
+    "\u{3000}".as_bytes(),
+    b",,",
+    b"\t\t",
+    b"\r",
+];
+
+/// Strategy: edge-list bytes built from the token alphabets above, read
+/// under random options: separator (whitespace, `,`, tab or space),
+/// header, direction. Lines end in `\n` or `\r\n`; one input in three
+/// starts with a byte-order mark. Two gaps in three are the named
+/// separator and one field in 24 is a rare token, so many lines parse and
+/// many inputs fail only somewhere inside.
+fn fuzzed_input() -> impl Strategy<Value = (Vec<u8>, EdgeListOptions)> {
+    (
+        proptest::collection::vec(
+            (
+                proptest::collection::vec((0usize..8, 0usize..24, 0usize..24), 2..5),
+                0usize..4,
+            ),
+            0..12,
+        ),
+        (0usize..4, 0usize..2, 0usize..2, 0usize..3),
+    )
+        .prop_map(|(lines, (separator, header, directed, bom))| {
+            let own_gap: &[u8] = [b" ", b",", b"\t", b" "][separator];
+            let mut bytes = Vec::new();
+            if bom == 0 {
+                bytes.extend_from_slice("\u{feff}".as_bytes());
+            }
+            for (fields, end) in lines {
+                for (position, (pick, rare, gap)) in fields.into_iter().enumerate() {
+                    if position > 0 {
+                        bytes.extend_from_slice(if gap < 16 {
+                            own_gap
+                        } else {
+                            STRAY_GAPS[gap - 16]
+                        });
+                    }
+                    bytes.extend_from_slice(match (rare, position) {
+                        (0, _) => RARE_TOKENS[pick],
+                        (_, 0 | 1) => LABEL_TOKENS[pick],
+                        _ => WEIGHT_TOKENS[pick],
+                    });
+                }
+                bytes.extend_from_slice(if end == 0 { b"\r\n" } else { b"\n" });
+            }
+            let options = EdgeListOptions {
+                direction: if directed == 0 {
+                    Direction::Directed
+                } else {
+                    Direction::Undirected
+                },
+                separator: [None, Some(','), Some('\t'), Some(' ')][separator],
+                has_header: header == 1,
+                ..Default::default()
+            };
+            (bytes, options)
+        })
+}
+
+/// Strategy: duplicate-heavy `(source, target, weight)` triples on 1–64
+/// nodes of either direction. Most triples fall on a few hot nodes, so
+/// pairs recur in both orientations and as self-loops; the rest land
+/// anywhere. Also draws a labelled-node mask for the builder variants.
+#[allow(clippy::type_complexity)]
+fn duplicate_heavy_triples(
+) -> impl Strategy<Value = (Direction, usize, Vec<(usize, usize, f64)>, u64)> {
+    (
+        0usize..2,
+        1usize..65,
+        1usize..9,
+        proptest::collection::vec((0usize..64, 0usize..64, 0usize..5, 0.0f64..10.0), 0..160),
+        0u64..u64::MAX,
+    )
+        .prop_map(|(directed, nodes, hot, picks, label_mask)| {
+            let direction = if directed == 0 {
+                Direction::Directed
+            } else {
+                Direction::Undirected
+            };
+            let hot = hot.min(nodes);
+            let triples = picks
+                .into_iter()
+                .map(|(a, b, kind, weight)| {
+                    let (a, b) = match kind {
+                        0 => (a % hot, b % hot),
+                        1 => (b % hot, a % hot),
+                        2 => (a % hot, a % hot),
+                        _ => (a % nodes, b % nodes),
+                    };
+                    (a, b, weight)
+                })
+                .collect();
+            (direction, nodes, triples, label_mask)
+        })
+}
+
+/// The adjacency-map graph with one node per `labels` entry (labelled where
+/// it says) after `add_edge` of every triple, in CSR form.
+fn labeled_oracle(
+    direction: Direction,
+    labels: &[Option<String>],
+    triples: &[(usize, usize, f64)],
+) -> CsrGraph {
+    let mut graph = WeightedGraph::new(direction);
+    for label in labels {
+        match label {
+            Some(label) => graph.add_labeled_node(label.clone()).unwrap(),
+            None => graph.add_node(),
+        };
+    }
+    for &(source, target, weight) in triples {
+        graph.add_edge(source, target, weight).unwrap();
+    }
+    CsrGraph::from_graph(&graph).unwrap()
 }
 
 /// Strategy: a small random graph of either direction with duplicate edges
@@ -158,5 +316,96 @@ proptest! {
         let csr = CsrGraph::from_graph(&graph).unwrap();
         prop_assert_eq!(component_count(&csr), bfs_components);
         prop_assert_eq!(largest_component_size(&csr), bfs_largest);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Neither reader panics on arbitrary bytes, and both return the same
+    /// graph or the same error. A graph never holds a node named `""`.
+    #[test]
+    fn edge_list_readers_agree_on_fuzzed_bytes((bytes, options) in fuzzed_input()) {
+        let adjacency = read_edge_list_named(bytes.as_slice(), &options, "<fuzz>");
+        let streamed = read_edge_list_csr_named(bytes.as_slice(), &options, "<fuzz>");
+        match (adjacency, streamed) {
+            (Ok(graph), Ok(csr)) => {
+                prop_assert!(
+                    CsrGraph::from_graph(&graph).unwrap() == csr,
+                    "graphs differ for input {:?} ({options:?})",
+                    String::from_utf8_lossy(&bytes)
+                );
+                prop_assert!(csr.nodes().all(|node| csr.label(node) != Some("")));
+            }
+            (Err(expected), Err(got)) => {
+                prop_assert_eq!(expected.to_string(), got.to_string());
+            }
+            (adjacency, streamed) => prop_assert!(
+                false,
+                "readers disagree on success for {:?}: adjacency ok={}, streamed ok={}",
+                String::from_utf8_lossy(&bytes),
+                adjacency.is_ok(),
+                streamed.is_ok()
+            ),
+        }
+    }
+
+    /// `CsrBuilder` deduplicates exactly like repeated
+    /// `WeightedGraph::add_edge` calls, however it is fed: by index through
+    /// `from_edges`, through `ensure_node` after pre-declared nodes, and
+    /// over a partially labelled table. Each build equals the adjacency-map
+    /// oracle carrying the same labels, `f64` weights compared exactly.
+    #[test]
+    fn builder_dedup_matches_the_adjacency_oracle(
+        (direction, nodes, triples, label_mask) in duplicate_heavy_triples()
+    ) {
+        let oracle = CsrGraph::from_graph(
+            &WeightedGraph::from_edges(direction, nodes, triples.clone()).unwrap(),
+        )
+        .unwrap();
+        prop_assert!(
+            CsrGraph::from_edges(direction, nodes, triples.clone()).unwrap() == oracle,
+            "from_edges differs for {triples:?} ({direction:?})"
+        );
+
+        // Nodes from `declared` on are interned by label on first appearance,
+        // on both sides.
+        let declared = nodes / 2;
+        let mut builder = CsrBuilder::with_nodes(direction, declared).unwrap();
+        let mut reference = WeightedGraph::with_nodes(direction, declared);
+        for &(source, target, weight) in &triples {
+            let mut ids = [source, target];
+            let mut reference_ids = ids;
+            for (id, reference_id) in ids.iter_mut().zip(&mut reference_ids) {
+                if *id >= declared {
+                    let label = format!("n{id}");
+                    *reference_id = reference.ensure_node(&label);
+                    *id = builder.ensure_node(&label).unwrap();
+                }
+            }
+            builder.add_edge(ids[0], ids[1], weight).unwrap();
+            reference.add_edge(reference_ids[0], reference_ids[1], weight).unwrap();
+        }
+        prop_assert!(
+            builder.finish().unwrap() == CsrGraph::from_graph(&reference).unwrap(),
+            "ensure_node build differs for {triples:?} ({direction:?})"
+        );
+
+        // A label table covering a prefix of the nodes, labelled by mask.
+        let table_len = (label_mask as usize >> 8) % (nodes + 1);
+        let table: Vec<Option<String>> = (0..table_len)
+            .map(|id| (label_mask >> (id % 64) & 1 == 1).then(|| format!("n{id}")))
+            .collect();
+        let mut builder =
+            CsrBuilder::with_labeled_nodes(direction, nodes, table.clone()).unwrap();
+        for &(source, target, weight) in &triples {
+            builder.add_edge(source, target, weight).unwrap();
+        }
+        let mut padded = table;
+        padded.resize(nodes, None);
+        prop_assert!(
+            builder.finish().unwrap() == labeled_oracle(direction, &padded, &triples),
+            "labelled build differs for {triples:?} ({direction:?})"
+        );
     }
 }

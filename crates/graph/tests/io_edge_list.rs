@@ -1,11 +1,12 @@
 //! Regression tests for edge-list parsing: error reporting (source name +
-//! line number), malformed weights, blank lines, and duplicate-edge
-//! accumulation semantics.
+//! line number), malformed weights, empty node names, a leading byte-order
+//! mark, blank lines, and duplicate-edge accumulation semantics.
 
 use backboning_graph::io::{
-    read_edge_list_file, read_edge_list_named, read_edge_list_str, EdgeListOptions,
+    read_edge_list_csr_named, read_edge_list_csr_str, read_edge_list_file, read_edge_list_named,
+    read_edge_list_str, EdgeListOptions,
 };
-use backboning_graph::Direction;
+use backboning_graph::{CsrGraph, Direction};
 
 fn temp_path(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("backboning_graph_io_edge_list");
@@ -111,6 +112,56 @@ fn duplicate_undirected_edges_accumulate_across_orientations() {
     let b = graph.node_by_label("B").unwrap();
     assert_eq!(graph.edge_weight(a, b), Some(7.0));
     assert_eq!(graph.edge_weight(b, a), Some(7.0));
+}
+
+#[test]
+fn empty_node_names_are_rejected_by_both_readers() {
+    for (text, separator, line, role) in [
+        ("a,b,1\na,,3\n", ',', 2, "target"),
+        ("a\t\t3\n", '\t', 1, "target"),
+        (",b,2\n", ',', 1, "source"),
+        ("x,y\na,\n", ',', 2, "target"),
+        (" , \n", ',', 1, "source"),
+    ] {
+        let options = EdgeListOptions {
+            separator: Some(separator),
+            ..Default::default()
+        };
+        let adjacency = read_edge_list_named(text.as_bytes(), &options, "edges.csv").unwrap_err();
+        let compact = read_edge_list_csr_named(text.as_bytes(), &options, "edges.csv").unwrap_err();
+        assert_eq!(adjacency, compact, "{text:?}");
+        let message = adjacency.to_string();
+        assert!(
+            message.contains(&format!("edges.csv: line {line}: empty {role} node name")),
+            "{text:?}: `{message}`"
+        );
+    }
+}
+
+#[test]
+fn a_leading_byte_order_mark_is_dropped_by_both_readers() {
+    let plain = "a,b,1\na,c,2\n";
+    let marked = format!("\u{feff}{plain}");
+    for direction in [Direction::Directed, Direction::Undirected] {
+        let options = EdgeListOptions {
+            direction,
+            separator: Some(','),
+            ..Default::default()
+        };
+        let graph = read_edge_list_str(&marked, &options).unwrap();
+        assert_eq!(graph.node_count(), 3);
+        assert_eq!(
+            CsrGraph::from_graph(&graph).unwrap(),
+            CsrGraph::from_graph(&read_edge_list_str(plain, &options).unwrap()).unwrap()
+        );
+        assert_eq!(
+            read_edge_list_csr_str(&marked, &options).unwrap(),
+            read_edge_list_csr_str(plain, &options).unwrap()
+        );
+    }
+    // Only line 1 may carry the mark: elsewhere U+FEFF is part of a name.
+    let later = read_edge_list_str("a b 1\n\u{feff}a c 2\n", &EdgeListOptions::default()).unwrap();
+    assert_eq!(later.node_count(), 4);
 }
 
 #[test]

@@ -231,6 +231,15 @@ fn upload_then_query() {
     assert_eq!(status, 200);
     assert!(text(&body).contains("\"edges\": 1"));
 
+    // A leading byte-order mark is not part of the first node's name.
+    let (status, body) = post(
+        &server,
+        "/graphs/marked?separator=,",
+        "\u{feff}a,b,1\na,c,2\n",
+    );
+    assert_eq!(status, 201, "{}", text(&body));
+    assert!(text(&body).contains("\"nodes\": 3"), "{}", text(&body));
+
     // DELETE unregisters.
     let (status, _) = request(
         &server,
@@ -278,6 +287,14 @@ fn not_found_and_bad_request_paths() {
     let err = text(&body);
     assert!(err.contains("upload broken"), "{err}");
     assert!(err.contains("line 1"), "{err}");
+    // An empty node name is refused with the readers' message.
+    let (status, body) = post(&server, "/graphs/broken?separator=,", "a,b,1\na,,3\n");
+    assert_eq!(status, 400);
+    let err = text(&body);
+    assert!(
+        err.contains("<upload broken>: line 2: empty target node name in `a,,3`"),
+        "{err}"
+    );
 
     // Invalid graph names are rejected before parsing.
     let (status, _) = post(&server, "/graphs/..", "a b 1\n");
