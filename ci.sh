@@ -146,11 +146,15 @@ COMPARE_SERVER=$(curl -sf "${SERVE_URL}/graphs/trade/compare")
 COMPARE_CACHED=$(curl -sf "${SERVE_URL}/graphs/trade/compare")
 [ "$COMPARE_SERVER" = "$COMPARE_CACHED" ]
 
-# Observability smoke: /metrics serves both formats, /health exposes the
-# cache counters, and a concurrent loadtest burst cross-checks the server's
-# request counts and latency quantiles against the client side — with
-# byte-identity asserted on every cached backbone response under load.
+# Observability smoke: /metrics serves both formats and reports nonzero
+# graph and score-cache memory (the nc query above cached a score set),
+# /health exposes the cache counters, and a concurrent loadtest burst
+# cross-checks the server's request counts and latency quantiles against
+# the client side — with byte-identity asserted on every cached backbone
+# response under load.
 curl -sf "${SERVE_URL}/metrics" | grep -q '# TYPE http_requests_total counter'
+curl -sf "${SERVE_URL}/metrics" | grep -Eq '^graph_memory_bytes [1-9][0-9]*$'
+curl -sf "${SERVE_URL}/metrics" | grep -Eq '^score_cache_bytes [1-9][0-9]*$'
 curl -sf "${SERVE_URL}/metrics" | grep -q 'http_request_duration_seconds{method="GET",route="/graphs/{name}/backbone",quantile="0.5"}'
 curl -sf "${SERVE_URL}/metrics?format=json" | grep -q '"name": "http_requests_total"'
 curl -sf "${SERVE_URL}/health" | grep -q '"cache": { "scored": { "hits": '

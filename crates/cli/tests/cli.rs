@@ -195,6 +195,21 @@ fn empty_node_names_fail_with_exit_1() {
 }
 
 #[test]
+fn overflowing_weight_sums_fail_with_exit_1() {
+    let output = run_with_stdin(
+        &["--method", "nc", "--top-k", "1", "-o", "scores"],
+        Some("a b 1e308\nb c 1e308\nc d 1\n"),
+    );
+    assert_eq!(output.status.code(), Some(1));
+    assert!(output.stdout.is_empty());
+    let err = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        err.contains("noise_corrected cannot process this graph: edge weights sum to inf"),
+        "`{err}`"
+    );
+}
+
+#[test]
 fn missing_file_fails_with_named_path_and_exit_1() {
     let output = run_with_stdin(
         &["--method", "nc", "--top-k", "2", "/no/such/file.tsv"],

@@ -40,7 +40,9 @@ use backboning_graph::{CsrGraph, DeltaGraph, PatchEffect};
 use crate::disparity;
 use crate::error::{BackboneError, BackboneResult};
 use crate::method::Method;
-use crate::scored::{ScoredEdge, ScoredEdges, Symmetrization};
+use crate::naive;
+use crate::scored::{ScoredEdges, Symmetrization};
+use crate::totals::ensure_finite;
 
 /// How a method's scores respond to a graph patch — what fraction of the
 /// previous scoring survives.
@@ -103,14 +105,14 @@ pub fn delta_rescore(
     let Some(node_local) = delta_applicability(method, graph, previous, effect)? else {
         return method.score_with_threads(graph, threads);
     };
-    let edges = carried_edges(graph, previous, effect)?;
-    rescore_carried(method, graph, edges, effect, node_local)
+    let carried = previous.carried(effect.remap.as_deref(), graph);
+    rescore_carried(method, graph, carried, effect, node_local)
 }
 
 /// The zero-copy form of [`delta_rescore`]: consume the previous scores and
-/// update them in place. For a reweight-only batch (no structural change)
-/// this skips the O(edges) carry-over entirely — the whole cost is the
-/// rescore set, which is what makes a small batch on a large graph
+/// update their columns in place. For a reweight-only batch (no structural
+/// change) this skips the O(edges) carry-over entirely — the whole cost is
+/// the rescore set, which is what makes a small batch on a large graph
 /// sublinear in practice, not just in rescored-edge count. Structural
 /// batches and non-local methods behave exactly like [`delta_rescore`].
 /// The result is bit-identical to `method.score_with_threads(graph,
@@ -125,12 +127,12 @@ pub fn delta_rescore_in_place(
     let Some(node_local) = delta_applicability(method, graph, &previous, effect)? else {
         return method.score_with_threads(graph, threads);
     };
-    let edges = if effect.structure_changed {
-        carried_edges(graph, &previous, effect)?
+    let carried = if effect.structure_changed {
+        previous.carried(effect.remap.as_deref(), graph)
     } else {
-        previous.into_edges()
+        previous
     };
-    rescore_carried(method, graph, edges, effect, node_local)
+    rescore_carried(method, graph, carried, effect, node_local)
 }
 
 /// Shared validation and strategy dispatch: `Ok(Some(node_local))` when the
@@ -165,62 +167,21 @@ fn delta_applicability(
     })
 }
 
-/// Carry surviving scores over, re-indexed through the (monotone) remap, so
-/// position k always holds edge id k.
-fn carried_edges(
-    graph: &CsrGraph,
-    previous: &ScoredEdges,
-    effect: &PatchEffect,
-) -> BackboneResult<Vec<ScoredEdge>> {
-    let mut edges: Vec<ScoredEdge> = Vec::with_capacity(graph.edge_count());
-    match &effect.remap {
-        Some(remap) => {
-            for (old_id, edge) in previous.iter().enumerate() {
-                if let Some(new_id) = remap[old_id] {
-                    let mut edge = *edge;
-                    edge.edge_index = new_id as usize;
-                    debug_assert_eq!(edge.edge_index, edges.len());
-                    edges.push(edge);
-                }
-            }
-        }
-        None => edges.extend(previous.iter().copied()),
-    }
-    // Placeholders for added edges (every appended id is in changed_edges
-    // and gets rescored below).
-    for id in edges.len()..graph.edge_count() {
-        let edge = graph
-            .edge(id)
-            .ok_or_else(|| invalid(format!("patched graph has no edge {id}")))?;
-        edges.push(ScoredEdge {
-            edge_index: id,
-            source: edge.source,
-            target: edge.target,
-            weight: edge.weight,
-            score: 0.0,
-            raw_score: None,
-            std_dev: None,
-            p_value: None,
-        });
-    }
-    Ok(edges)
-}
-
-/// Rescore the touched subset of an already-carried edge vector. Every
+/// Rescore the touched subset of already-carried scores in place. Every
 /// changed edge (and, for node-local methods, every edge incident to a
-/// touched node) is recomputed from the patched graph, so stale weights in
-/// `edges` at those positions are overwritten wholesale.
+/// touched node) is recomputed from the patched graph, so stale rows at
+/// those edge ids are overwritten wholesale.
 fn rescore_carried(
     method: Method,
     graph: &CsrGraph,
-    mut edges: Vec<ScoredEdge>,
+    mut scored: ScoredEdges,
     effect: &PatchEffect,
     node_local: bool,
 ) -> BackboneResult<ScoredEdges> {
-    if edges.len() != graph.edge_count() {
+    if scored.len() != graph.edge_count() {
         return Err(invalid(format!(
             "patch effect yields {} edges but the graph has {}",
-            edges.len(),
+            scored.len(),
             graph.edge_count()
         )));
     }
@@ -238,7 +199,9 @@ fn rescore_carried(
 
     // Strengths of every endpoint involved, each summed over its adjacency
     // row in ascending-edge-id order — the exact accumulation order of
-    // `NetworkTotals`, hence the same bits.
+    // `NetworkTotals`, hence the same bits. Only these strengths can have
+    // changed, so checking them refuses exactly the patched graphs a
+    // from-scratch pass refuses.
     let mut strengths: HashMap<usize, f64> = HashMap::new();
     if node_local {
         for &id in &rescore {
@@ -249,41 +212,29 @@ fn rescore_carried(
                     .or_insert_with(|| graph.strength(node));
             }
         }
+        ensure_finite(method.score_name(), strengths.values().copied())?;
     }
 
     for &id in &rescore {
         let edge = graph.edge(id).expect("rescore id in range");
-        edges[id] = match method {
-            Method::NaiveThreshold => ScoredEdge {
-                edge_index: id,
-                source: edge.source,
-                target: edge.target,
-                weight: edge.weight,
-                score: edge.weight,
-                raw_score: None,
-                std_dev: None,
-                p_value: None,
-            },
-            Method::DisparityFilter => disparity::score_edge(
-                Symmetrization::Max,
-                id,
-                edge.source,
-                edge.target,
-                edge.weight,
-                strengths[&edge.source],
-                graph.out_degree(edge.source),
-                strengths[&edge.target],
-                graph.in_degree(edge.target),
+        match method {
+            Method::NaiveThreshold => scored.set_row(edge, [], naive::score_edge(edge)),
+            Method::DisparityFilter => scored.set_row(
+                edge,
+                disparity::COLUMNS,
+                disparity::score_edge(
+                    Symmetrization::Max,
+                    edge.weight,
+                    strengths[&edge.source],
+                    graph.out_degree(edge.source),
+                    strengths[&edge.target],
+                    graph.in_degree(edge.target),
+                ),
             ),
             _ => unreachable!("only edge- and node-local methods reach here"),
-        };
+        }
     }
-
-    Ok(ScoredEdges::new(
-        method.score_name(),
-        graph.node_count(),
-        edges,
-    ))
+    Ok(scored)
 }
 
 /// Convenience wrapper: rescore every method in `methods` against the
@@ -420,6 +371,20 @@ mod tests {
             .score_with_threads(&patched, 1)
             .unwrap();
         assert_eq!(incremental, fresh);
+    }
+
+    #[test]
+    fn overflowing_patches_are_refused_like_from_scratch() {
+        let graph = base();
+        let batch = DeltaBatch::parse_tsv("reweight a b 1e308\nreweight a c 1e308\n").unwrap();
+        let (patched, effect) = apply_batch(&graph, &batch).unwrap();
+        for method in [Method::DisparityFilter, Method::NoiseCorrected] {
+            let previous = method.score_with_threads(&graph, 1).unwrap();
+            let fresh = method.score_with_threads(&patched, 1).unwrap_err();
+            let incremental = delta_rescore(method, &patched, &previous, &effect, 1).unwrap_err();
+            assert_eq!(incremental, fresh, "{method}");
+            assert!(matches!(fresh, BackboneError::UnsupportedGraph { .. }));
+        }
     }
 
     #[test]

@@ -21,12 +21,14 @@
 //! endpoints jointly, which is why the Disparity Filter keeps periphery–hub
 //! connections that the NC backbone prunes (paper, Figure 3).
 
-use backboning_graph::{EdgeRef, GraphView, WeightedGraph};
-use backboning_parallel::{clamped_threads, par_map};
+use backboning_graph::{GraphView, WeightedGraph};
 
 use crate::error::BackboneResult;
-use crate::scored::{BackboneExtractor, ScoredEdge, ScoredEdges, Symmetrization};
-use crate::totals::NetworkTotals;
+use crate::scored::{BackboneExtractor, Column, ScoredEdges, Symmetrization};
+use crate::totals::{ensure_finite, NetworkTotals};
+
+/// The optional column the Disparity Filter fills: the p-value `α`.
+pub(crate) const COLUMNS: [Column; 1] = [Column::PValue];
 
 /// The Disparity Filter backbone extractor.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,59 +75,47 @@ impl DisparityFilter {
     /// honoring `BACKBONING_THREADS`). Each edge's p-value depends only on the
     /// precomputed per-node strengths and degrees, so the result is
     /// bit-identical for every thread count.
+    ///
+    /// Errors with [`crate::BackboneError::UnsupportedGraph`] when a node
+    /// strength overflows `f64`: every share `w / ∞` would be 0 and every
+    /// score 0, silently.
     pub fn score_with_threads<G: GraphView>(
         &self,
         graph: &G,
         threads: usize,
     ) -> BackboneResult<ScoredEdges> {
+        let name = BackboneExtractor::name(self);
         // Per-node strengths and degrees for both roles (emitter / receiver),
         // built in one pass over the edge list.
         let totals = NetworkTotals::compute(graph);
+        ensure_finite(name, totals.sums())?;
         let out_degree: Vec<usize> = graph.nodes().map(|n| graph.out_degree(n)).collect();
         let in_degree: Vec<usize> = graph.nodes().map(|n| graph.in_degree(n)).collect();
-
-        let edges: Vec<EdgeRef> = graph.edges().collect();
-        let scored = par_map(
-            &edges,
-            clamped_threads(threads, edges.len(), 2048),
-            |_, edge| {
-                score_edge(
-                    self.symmetrization,
-                    edge.index,
-                    edge.source,
-                    edge.target,
-                    edge.weight,
-                    totals.out_strength[edge.source],
-                    out_degree[edge.source],
-                    totals.in_strength[edge.target],
-                    in_degree[edge.target],
-                )
-            },
-        );
-        Ok(ScoredEdges::new(
-            BackboneExtractor::name(self),
-            graph.node_count(),
-            scored,
-        ))
+        ScoredEdges::score_edges(name, graph, threads, COLUMNS, |edge| {
+            Ok(score_edge(
+                self.symmetrization,
+                edge.weight,
+                totals.out_strength[edge.source],
+                out_degree[edge.source],
+                totals.in_strength[edge.target],
+                in_degree[edge.target],
+            ))
+        })
     }
 }
 
 /// The Disparity Filter score of one edge from its endpoint strengths and
-/// degrees — the single source of truth shared by the batch scorer above and
-/// the incremental rescoring path in [`crate::delta`], so both produce
-/// bit-identical results.
-#[allow(clippy::too_many_arguments)]
+/// degrees, as `(score, [p-value])` for [`COLUMNS`] — the single source of
+/// truth shared by the batch scorer above and the incremental rescoring path
+/// in [`crate::delta`], so both produce bit-identical results.
 pub(crate) fn score_edge(
     symmetrization: Symmetrization,
-    edge_index: usize,
-    source: usize,
-    target: usize,
     weight: f64,
     source_strength: f64,
     source_degree: usize,
     target_strength: f64,
     target_degree: usize,
-) -> ScoredEdge {
+) -> (f64, [f64; 1]) {
     // Emitter perspective: the edge as a share of the source's outgoing weight.
     let source_alpha = if source_strength > 0.0 {
         DisparityFilter::alpha(weight / source_strength, source_degree)
@@ -142,18 +132,7 @@ pub(crate) fn score_edge(
     // Combine the two perspectives on the *score* scale (1 − α), so that
     // Max keeps the most significant perspective.
     let score = symmetrization.combine(1.0 - source_alpha, 1.0 - target_alpha);
-    let p_value = 1.0 - score;
-
-    ScoredEdge {
-        edge_index,
-        source,
-        target,
-        weight,
-        score,
-        raw_score: None,
-        std_dev: None,
-        p_value: Some(p_value),
-    }
+    (score, [1.0 - score])
 }
 
 impl BackboneExtractor for DisparityFilter {

@@ -19,11 +19,10 @@
 
 use backboning_graph::algorithms::union_find::UnionFind;
 use backboning_graph::matrix::AdjacencyMatrix;
-use backboning_graph::{EdgeRef, GraphView, WeightedGraph};
-use backboning_parallel::{clamped_threads, par_map};
+use backboning_graph::{GraphView, WeightedGraph};
 
 use crate::error::{BackboneError, BackboneResult};
-use crate::scored::{BackboneExtractor, ScoredEdge, ScoredEdges};
+use crate::scored::{BackboneExtractor, ScoredEdges};
 
 /// The Doubly-Stochastic backbone extractor.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,70 +48,40 @@ impl DoublyStochastic {
         Self::default()
     }
 
-    /// Compute the doubly-stochastic weight of every edge.
+    /// Score every edge with its doubly-stochastic weight, with an explicit
+    /// worker count (`0` = automatic).
     ///
     /// The Sinkhorn–Knopp sweeps are inherently sequential (each sweep reads
     /// the previous one), but the per-edge read-out of the scaled matrix is
-    /// chunked across workers; per-edge values are independent, so the result
+    /// split across workers; per-edge values are independent, so the result
     /// is thread-count invariant.
-    fn normalised_weights<G: GraphView>(
-        &self,
-        graph: &G,
-        threads: usize,
-    ) -> BackboneResult<Vec<f64>> {
-        if graph.node_count() == 0 || graph.edge_count() == 0 {
-            return Ok(vec![0.0; graph.edge_count()]);
-        }
-        let matrix = AdjacencyMatrix::from_graph(graph);
-        let doubly_stochastic = matrix
-            .sinkhorn_knopp(self.tolerance, self.max_iterations)
-            .map_err(|err| BackboneError::UnsupportedGraph {
-                method: "doubly_stochastic",
-                message: err.to_string(),
-            })?;
-        let edges: Vec<EdgeRef> = graph.edges().collect();
-        let directed = graph.is_directed();
-        Ok(par_map(
-            &edges,
-            clamped_threads(threads, edges.len(), 2048),
-            |_, edge| {
-                let forward = doubly_stochastic.get(edge.source, edge.target);
-                if directed {
-                    forward
-                } else {
-                    // The scaled matrix is generally *not* symmetric even for a
-                    // symmetric input; use the larger orientation.
-                    forward.max(doubly_stochastic.get(edge.target, edge.source))
-                }
-            },
-        ))
-    }
-
-    /// Score every edge with an explicit worker count (`0` = automatic).
     pub fn score_with_threads<G: GraphView>(
         &self,
         graph: &G,
         threads: usize,
     ) -> BackboneResult<ScoredEdges> {
-        let weights = self.normalised_weights(graph, threads)?;
-        let scored = graph
-            .edges()
-            .map(|edge| ScoredEdge {
-                edge_index: edge.index,
-                source: edge.source,
-                target: edge.target,
-                weight: edge.weight,
-                score: weights[edge.index],
-                raw_score: None,
-                std_dev: None,
-                p_value: None,
-            })
-            .collect();
-        Ok(ScoredEdges::new(
-            BackboneExtractor::name(self),
-            graph.node_count(),
-            scored,
-        ))
+        let name = BackboneExtractor::name(self);
+        if graph.edge_count() == 0 {
+            return ScoredEdges::score_edges(name, graph, threads, [], |_| Ok((0.0, [])));
+        }
+        let doubly_stochastic = AdjacencyMatrix::from_graph(graph)
+            .sinkhorn_knopp(self.tolerance, self.max_iterations)
+            .map_err(|err| BackboneError::UnsupportedGraph {
+                method: "doubly_stochastic",
+                message: err.to_string(),
+            })?;
+        let directed = graph.is_directed();
+        ScoredEdges::score_edges(name, graph, threads, [], |edge| {
+            let forward = doubly_stochastic.get(edge.source, edge.target);
+            let score = if directed {
+                forward
+            } else {
+                // The scaled matrix is generally *not* symmetric even for a
+                // symmetric input; use the larger orientation.
+                forward.max(doubly_stochastic.get(edge.target, edge.source))
+            };
+            Ok((score, []))
+        })
     }
 
     /// The paper's parameter-free backbone: add edges in decreasing

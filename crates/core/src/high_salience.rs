@@ -54,7 +54,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::error::{BackboneError, BackboneResult};
-use crate::scored::{BackboneExtractor, ScoredEdge, ScoredEdges};
+use crate::scored::{BackboneExtractor, ScoredEdges};
 
 /// Extractor name stamped on sampled-root salience scores (distinct from the
 /// exact skeleton's, so cached exact scores are never mistaken for estimates).
@@ -220,12 +220,13 @@ impl HighSalienceSkeleton {
         let roots: Vec<NodeId> = (0..node_count).collect();
         let tree_membership =
             tree_membership_counts(&csr, &entry_distances, &roots, threads, graph.edge_count());
-        Ok(self.scored_from_membership(
+        scored_from_membership(
             graph,
             &tree_membership,
             node_count,
             BackboneExtractor::name(self),
-        ))
+            threads,
+        )
     }
 
     /// Estimate every edge's salience from `roots` deterministically sampled
@@ -262,12 +263,13 @@ impl HighSalienceSkeleton {
             threads,
             graph.edge_count(),
         );
-        Ok(self.scored_from_membership(
+        scored_from_membership(
             graph,
             &tree_membership,
             selected.len(),
             HSS_APPROX_SCORE_NAME,
-        ))
+            threads,
+        )
     }
 
     /// The seed adjacency-list implementation: one full Dijkstra (with fresh
@@ -290,45 +292,34 @@ impl HighSalienceSkeleton {
             }
         }
         let node_count = graph.node_count();
-        Ok(self.scored_from_membership(
+        scored_from_membership(
             graph,
             &tree_membership,
             node_count,
             BackboneExtractor::name(self),
-        ))
+            1,
+        )
     }
+}
 
-    /// Turn per-edge tree-membership counts into salience scores: the count
-    /// divided by `denominator` (the number of roots whose trees were grown),
-    /// stamped with `score_name`.
-    fn scored_from_membership<G: GraphView>(
-        &self,
-        graph: &G,
-        tree_membership: &[usize],
-        denominator: usize,
-        score_name: &'static str,
-    ) -> ScoredEdges {
-        let node_count = graph.node_count();
-        let mut scored = Vec::with_capacity(graph.edge_count());
-        for edge in graph.edges() {
-            let salience = if denominator > 0 {
-                tree_membership[edge.index] as f64 / denominator as f64
-            } else {
-                0.0
-            };
-            scored.push(ScoredEdge {
-                edge_index: edge.index,
-                source: edge.source,
-                target: edge.target,
-                weight: edge.weight,
-                score: salience,
-                raw_score: None,
-                std_dev: None,
-                p_value: None,
-            });
-        }
-        ScoredEdges::new(score_name, node_count, scored)
-    }
+/// Turn per-edge tree-membership counts into salience scores: the count
+/// divided by `denominator` (the number of roots whose trees were grown),
+/// stamped with `score_name`.
+fn scored_from_membership<G: GraphView>(
+    graph: &G,
+    tree_membership: &[usize],
+    denominator: usize,
+    score_name: &'static str,
+    threads: usize,
+) -> BackboneResult<ScoredEdges> {
+    ScoredEdges::score_edges(score_name, graph, threads, [], |edge| {
+        let salience = if denominator > 0 {
+            tree_membership[edge.index] as f64 / denominator as f64
+        } else {
+            0.0
+        };
+        Ok((salience, []))
+    })
 }
 
 impl BackboneExtractor for HighSalienceSkeleton {

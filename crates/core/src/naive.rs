@@ -7,10 +7,10 @@
 //! removal of weakly-connected regions — are exactly what the evaluation
 //! criteria expose.
 
-use backboning_graph::{GraphView, WeightedGraph};
+use backboning_graph::{EdgeRef, GraphView, WeightedGraph};
 
 use crate::error::BackboneResult;
-use crate::scored::{BackboneExtractor, ScoredEdge, ScoredEdges};
+use crate::scored::{BackboneExtractor, ScoredEdges};
 
 /// The naive-threshold backbone extractor: the score of an edge is its raw weight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -22,33 +22,23 @@ impl NaiveThreshold {
         NaiveThreshold
     }
 
-    /// Score every edge of any graph representation. The score of an edge is
-    /// its raw weight; `_threads` is accepted for registry uniformity (the
-    /// pass is a single sequential scan).
+    /// Score every edge of any graph representation with an explicit worker
+    /// count (`0` = automatic). The score of an edge is its raw weight.
     pub fn score_with_threads<G: GraphView>(
         &self,
         graph: &G,
-        _threads: usize,
+        threads: usize,
     ) -> BackboneResult<ScoredEdges> {
-        let scored = graph
-            .edges()
-            .map(|edge| ScoredEdge {
-                edge_index: edge.index,
-                source: edge.source,
-                target: edge.target,
-                weight: edge.weight,
-                score: edge.weight,
-                raw_score: None,
-                std_dev: None,
-                p_value: None,
-            })
-            .collect();
-        Ok(ScoredEdges::new(
-            BackboneExtractor::name(self),
-            graph.node_count(),
-            scored,
-        ))
+        ScoredEdges::score_edges(BackboneExtractor::name(self), graph, threads, [], |edge| {
+            Ok(score_edge(edge))
+        })
     }
+}
+
+/// The naive score of one edge, `(weight, [])` — shared with the
+/// incremental rescoring path in [`crate::delta`].
+pub(crate) fn score_edge(edge: EdgeRef) -> (f64, [f64; 0]) {
+    (edge.weight, [])
 }
 
 impl BackboneExtractor for NaiveThreshold {

@@ -28,14 +28,13 @@
 //! from the binomial null model. It is cheaper but cannot say whether two
 //! edges differ significantly from each other.
 
-use backboning_graph::{EdgeRef, GraphView, WeightedGraph};
-use backboning_parallel::{clamped_threads, par_map};
+use backboning_graph::{GraphView, WeightedGraph};
 use backboning_stats::distributions::{Binomial, ContinuousDistribution};
 use backboning_stats::BetaBinomialModel;
 
 use crate::error::{BackboneError, BackboneResult};
-use crate::scored::{BackboneExtractor, ScoredEdge, ScoredEdges};
-use crate::totals::NetworkTotals;
+use crate::scored::{BackboneExtractor, Column, ScoredEdges};
+use crate::totals::{ensure_finite, NetworkTotals};
 
 /// The Noise-Corrected backbone extractor.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -112,19 +111,26 @@ impl NoiseCorrected {
 
     /// Score every edge with an explicit worker count (`0` = automatic,
     /// honoring `BACKBONING_THREADS`). Each edge's score is a pure function of
-    /// the precomputed totals, and the scored list preserves edge order, so
+    /// the precomputed totals, and every edge lands at its own edge id, so
     /// the result is bit-identical for every thread count.
+    ///
+    /// Errors with [`BackboneError::UnsupportedGraph`] when a node strength
+    /// or the network total overflows `f64`: `κ = N̂.. / (N̂i. N̂.j)` would be
+    /// `∞/∞` and every score would silently come out as zero.
     pub fn score_with_threads<G: GraphView>(
         &self,
         graph: &G,
         threads: usize,
     ) -> BackboneResult<ScoredEdges> {
+        let name = BackboneExtractor::name(self);
         let totals = NetworkTotals::compute(graph);
-        let edges: Vec<EdgeRef> = graph.edges().collect();
-        let scored = par_map(
-            &edges,
-            clamped_threads(threads, edges.len(), 2048),
-            |_, edge| {
+        ensure_finite(name, totals.sums().chain([totals.total]))?;
+        ScoredEdges::score_edges(
+            name,
+            graph,
+            threads,
+            [Column::RawScore, Column::StdDev],
+            |edge| {
                 // The NC score formula is symmetric in (out-strength of the source,
                 // in-strength of the target); for undirected graphs both directions
                 // give the same value, so a single evaluation suffices.
@@ -141,23 +147,9 @@ impl NoiseCorrected {
                 } else {
                     0.0
                 };
-                ScoredEdge {
-                    edge_index: edge.index,
-                    source: edge.source,
-                    target: edge.target,
-                    weight: edge.weight,
-                    score,
-                    raw_score: Some(transformed_lift),
-                    std_dev: Some(std_dev),
-                    p_value: None,
-                }
+                Ok((score, [transformed_lift, std_dev]))
             },
-        );
-        Ok(ScoredEdges::new(
-            BackboneExtractor::name(self),
-            graph.node_count(),
-            scored,
-        ))
+        )
     }
 }
 
@@ -209,43 +201,26 @@ impl NoiseCorrectedBinomial {
             });
         }
         let trials = totals.total.round().max(0.0) as u64;
-        let edges: Vec<EdgeRef> = graph.edges().collect();
-        let scored = par_map(
-            &edges,
-            clamped_threads(threads, edges.len(), 2048),
-            |_, edge| {
+        ScoredEdges::score_edges(
+            BackboneExtractor::name(self),
+            graph,
+            threads,
+            [Column::PValue],
+            |edge| {
                 let out_strength = totals.out_strength[edge.source];
                 let in_strength = totals.in_strength[edge.target];
                 let p_value = if out_strength <= 0.0 || in_strength <= 0.0 || trials == 0 {
-                    Ok(1.0)
+                    1.0
                 } else {
                     let success_probability = (out_strength * in_strength
                         / (totals.total * totals.total))
                         .clamp(0.0, 1.0);
                     let observed = edge.weight.round().max(0.0) as u64;
-                    Binomial::new(trials, success_probability)
-                        .map_err(BackboneError::from)
-                        .map(|binomial| binomial.upper_tail(observed))
+                    Binomial::new(trials, success_probability)?.upper_tail(observed)
                 };
-                p_value.map(|p_value| ScoredEdge {
-                    edge_index: edge.index,
-                    source: edge.source,
-                    target: edge.target,
-                    weight: edge.weight,
-                    score: 1.0 - p_value,
-                    raw_score: None,
-                    std_dev: None,
-                    p_value: Some(p_value),
-                })
+                Ok((1.0 - p_value, [p_value]))
             },
         )
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
-        Ok(ScoredEdges::new(
-            BackboneExtractor::name(self),
-            graph.node_count(),
-            scored,
-        ))
     }
 }
 

@@ -18,8 +18,27 @@
 //! scoring edges or a fixed *share* of edges — the mechanism the paper uses to
 //! compare methods at equal backbone sizes in the coverage, quality and
 //! stability experiments.
+//!
+//! # Storage
+//!
+//! A [`ScoredEdges`] set stores one column per field, indexed by dense edge
+//! id: `u32` sources and targets, `f64` weights and scores, and whole `f64`
+//! columns for the optional values only the methods that define them carry.
+//! [`ScoredEdges::iter`] and [`ScoredEdges::get`] hand out [`ScoredEdge`]
+//! rows by value, built from the columns; `get` is O(1). Exact bytes per
+//! edge ([`ScoredEdges::memory_bytes`]):
+//!
+//! | Method | optional columns | bytes per edge |
+//! |---|---|---|
+//! | Noise-Corrected (both prior variants) | raw score, standard deviation | 40 |
+//! | NC binomial variant, Disparity Filter | p-value | 32 |
+//! | HSS, sampled HSS, Doubly Stochastic, MST, Naive | — | 24 |
 
-use backboning_graph::{GraphView, NodeId, WeightedGraph};
+use std::ops::Range;
+
+use backboning_graph::csr::CSR_INDEX_LIMIT;
+use backboning_graph::{CsrGraph, EdgeRef, GraphError, GraphView, NodeId, WeightedGraph};
+use backboning_parallel::{clamped_threads, par_split, SplitAt};
 
 use crate::error::{BackboneError, BackboneResult};
 
@@ -49,7 +68,8 @@ impl Symmetrization {
     }
 }
 
-/// A single scored edge.
+/// One scored edge: a row of a [`ScoredEdges`] set, built by value from its
+/// columns.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScoredEdge {
     /// Dense index of the edge in the original graph.
@@ -71,22 +91,251 @@ pub struct ScoredEdge {
     pub p_value: Option<f64>,
 }
 
-/// The scored edges of a graph under one backboning method.
+/// A method-specific optional column of a [`ScoredEdges`] set: a scorer
+/// names the columns it fills, in the order of the values it returns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Column {
+    /// [`ScoredEdge::raw_score`].
+    RawScore,
+    /// [`ScoredEdge::std_dev`].
+    StdDev,
+    /// [`ScoredEdge::p_value`].
+    PValue,
+}
+
+/// The scored edges of a graph under one backboning method, stored as
+/// columns indexed by dense edge id (see the [module docs](self) for the
+/// bytes per edge of each method).
+///
+/// Position `i` of every column describes edge id `i`: [`ScoredEdges::get`]
+/// is an O(1) index, and [`ScoredEdges::iter`] yields [`ScoredEdge`] rows by
+/// value in edge-id order. Every scorer fills the columns in one pass over
+/// the edge ids, copying endpoints and weights from the graph.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScoredEdges {
     method: &'static str,
     node_count: usize,
-    edges: Vec<ScoredEdge>,
+    sources: Vec<u32>,
+    targets: Vec<u32>,
+    weights: Vec<f64>,
+    scores: Vec<f64>,
+    raw_scores: Option<Vec<f64>>,
+    std_devs: Option<Vec<f64>>,
+    p_values: Option<Vec<f64>>,
+}
+
+/// One worker's edge-id range of the columns [`ScoredEdges::score_edges`]
+/// fills: the four fixed columns plus the scorer's optional ones.
+struct RowsMut<'a> {
+    sources: &'a mut [u32],
+    targets: &'a mut [u32],
+    weights: &'a mut [f64],
+    scores: &'a mut [f64],
+    values: Vec<&'a mut [f64]>,
+}
+
+impl SplitAt for RowsMut<'_> {
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        let (sources, sources_tail) = self.sources.split_at_mut(mid);
+        let (targets, targets_tail) = self.targets.split_at_mut(mid);
+        let (weights, weights_tail) = self.weights.split_at_mut(mid);
+        let (scores, scores_tail) = self.scores.split_at_mut(mid);
+        let (values, values_tail) = self
+            .values
+            .into_iter()
+            .map(|column| column.split_at_mut(mid))
+            .unzip();
+        (
+            RowsMut {
+                sources,
+                targets,
+                weights,
+                scores,
+                values,
+            },
+            RowsMut {
+                sources: sources_tail,
+                targets: targets_tail,
+                weights: weights_tail,
+                scores: scores_tail,
+                values: values_tail,
+            },
+        )
+    }
 }
 
 impl ScoredEdges {
-    /// Create a scored-edge set. Intended for use by backbone implementations.
-    pub fn new(method: &'static str, node_count: usize, edges: Vec<ScoredEdge>) -> Self {
-        ScoredEdges {
+    /// Score every edge of `graph` in one pass over its edge ids — the
+    /// constructor every scorer goes through. `score` maps an edge to its
+    /// significance score and its values for `columns`, in that order;
+    /// endpoints and weights are copied from the graph.
+    ///
+    /// Workers fill disjoint edge-id ranges of the columns in place (the
+    /// graph is read directly, nothing is copied out first or collected
+    /// afterwards), so when `score` is a pure function of the edge the
+    /// result is bit-identical at every thread count. On failure the error
+    /// of the lowest failing edge id is returned, also at every thread count.
+    pub(crate) fn score_edges<G, F, const N: usize>(
+        method: &'static str,
+        graph: &G,
+        threads: usize,
+        columns: [Column; N],
+        score: F,
+    ) -> BackboneResult<Self>
+    where
+        G: GraphView,
+        F: Fn(EdgeRef) -> BackboneResult<(f64, [f64; N])> + Sync,
+    {
+        let node_count = graph.node_count();
+        if node_count as u64 > CSR_INDEX_LIMIT {
+            return Err(GraphError::CapacityExceeded {
+                what: "nodes",
+                requested: node_count as u64,
+                limit: CSR_INDEX_LIMIT,
+            }
+            .into());
+        }
+        let edge_count = graph.edge_count();
+        let mut sources = vec![0u32; edge_count];
+        let mut targets = vec![0u32; edge_count];
+        let mut weights = vec![0.0; edge_count];
+        let mut scores = vec![0.0; edge_count];
+        let mut values: Vec<Vec<f64>> = columns.iter().map(|_| vec![0.0; edge_count]).collect();
+        let rows = RowsMut {
+            sources: &mut sources,
+            targets: &mut targets,
+            weights: &mut weights,
+            scores: &mut scores,
+            values: values.iter_mut().map(Vec::as_mut_slice).collect(),
+        };
+        par_split(
+            edge_count,
+            clamped_threads(threads, edge_count, 2048),
+            rows,
+            |range: Range<usize>, mut rows: RowsMut| {
+                for (row, id) in range.enumerate() {
+                    let edge = graph.edge(id).expect("edge id below the edge count");
+                    // Node ids fit: the node count was checked above.
+                    rows.sources[row] = edge.source as u32;
+                    rows.targets[row] = edge.target as u32;
+                    rows.weights[row] = edge.weight;
+                    let (score, extra) = score(edge)?;
+                    rows.scores[row] = score;
+                    for (column, value) in rows.values.iter_mut().zip(extra) {
+                        column[row] = value;
+                    }
+                }
+                Ok(())
+            },
+        )
+        .into_iter()
+        .collect::<BackboneResult<Vec<()>>>()?;
+        let mut scored = ScoredEdges {
             method,
             node_count,
-            edges,
+            sources,
+            targets,
+            weights,
+            scores,
+            raw_scores: None,
+            std_devs: None,
+            p_values: None,
+        };
+        for (column, values) in columns.into_iter().zip(values) {
+            *scored.optional_mut(column) = Some(values);
         }
+        Ok(scored)
+    }
+
+    fn optional_mut(&mut self, column: Column) -> &mut Option<Vec<f64>> {
+        match column {
+            Column::RawScore => &mut self.raw_scores,
+            Column::StdDev => &mut self.std_devs,
+            Column::PValue => &mut self.p_values,
+        }
+    }
+
+    /// Overwrite edge `edge.index`'s row: endpoints and weight from `edge`,
+    /// then its score and its values for `columns` (the incremental
+    /// rescore's write path; `columns` are the layout the set was scored
+    /// with, and `edge` is an edge of a [`CsrGraph`], so its node ids fit
+    /// the `u32` columns).
+    pub(crate) fn set_row<const N: usize>(
+        &mut self,
+        edge: EdgeRef,
+        columns: [Column; N],
+        (score, values): (f64, [f64; N]),
+    ) {
+        let id = edge.index;
+        self.sources[id] = edge.source as u32;
+        self.targets[id] = edge.target as u32;
+        self.weights[id] = edge.weight;
+        self.scores[id] = score;
+        for (column, value) in columns.into_iter().zip(values) {
+            self.optional_mut(column)
+                .as_mut()
+                .expect("the set carries the scorer's columns")[id] = value;
+        }
+    }
+
+    /// These scores carried to the patched `graph`: every surviving row
+    /// moves to its new edge id through the monotone `remap` (old id → new
+    /// id, `None` for a removed edge; without a remap every row stays), and
+    /// every edge of `graph` past the carried rows gets a zeroed row with
+    /// its endpoints and weight, which the caller then rescores.
+    pub(crate) fn carried(&self, remap: Option<&[Option<u32>]>, graph: &CsrGraph) -> Self {
+        let mut carried = match remap {
+            None => self.clone(),
+            Some(remap) => {
+                debug_assert!(
+                    remap
+                        .iter()
+                        .flatten()
+                        .enumerate()
+                        .all(|(k, &id)| id as usize == k),
+                    "the remap is monotone and dense"
+                );
+                fn keep<T: Copy>(column: &[T], remap: &[Option<u32>]) -> Vec<T> {
+                    column
+                        .iter()
+                        .zip(remap)
+                        .filter_map(|(&value, new_id)| new_id.map(|_| value))
+                        .collect()
+                }
+                let keep_optional =
+                    |column: &Option<Vec<f64>>| column.as_deref().map(|c| keep(c, remap));
+                ScoredEdges {
+                    method: self.method,
+                    node_count: self.node_count,
+                    sources: keep(&self.sources, remap),
+                    targets: keep(&self.targets, remap),
+                    weights: keep(&self.weights, remap),
+                    scores: keep(&self.scores, remap),
+                    raw_scores: keep_optional(&self.raw_scores),
+                    std_devs: keep_optional(&self.std_devs),
+                    p_values: keep_optional(&self.p_values),
+                }
+            }
+        };
+        carried.node_count = graph.node_count();
+        for id in carried.len()..graph.edge_count() {
+            let edge = graph.edge(id).expect("edge id below the edge count");
+            carried.sources.push(edge.source as u32);
+            carried.targets.push(edge.target as u32);
+            carried.weights.push(edge.weight);
+            carried.scores.push(0.0);
+            for column in [
+                &mut carried.raw_scores,
+                &mut carried.std_devs,
+                &mut carried.p_values,
+            ]
+            .into_iter()
+            .flatten()
+            {
+                column.push(0.0);
+            }
+        }
+        carried
     }
 
     /// Name of the method that produced the scores.
@@ -101,59 +350,88 @@ impl ScoredEdges {
 
     /// Number of scored edges (equals the original graph's edge count).
     pub fn len(&self) -> usize {
-        self.edges.len()
+        self.scores.len()
     }
 
     /// Whether there are no scored edges.
     pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
+        self.scores.is_empty()
     }
 
-    /// Iterate over the scored edges in original edge order.
-    pub fn iter(&self) -> impl Iterator<Item = &ScoredEdge> {
-        self.edges.iter()
+    /// Exact bytes held by the columns (see the [module docs](self) for
+    /// the bytes per edge of each method); like
+    /// [`CsrGraph::memory_bytes`], it counts column
+    /// lengths, not spare capacity.
+    pub fn memory_bytes(&self) -> usize {
+        let optional = [&self.raw_scores, &self.std_devs, &self.p_values]
+            .into_iter()
+            .flatten()
+            .map(|column| column.len() * size_of::<f64>())
+            .sum::<usize>();
+        self.sources.len() * size_of::<u32>()
+            + self.targets.len() * size_of::<u32>()
+            + self.weights.len() * size_of::<f64>()
+            + self.scores.len() * size_of::<f64>()
+            + optional
     }
 
-    /// Take the scored edges out, consuming the set — the zero-copy entry
-    /// point of the in-place delta rescore.
-    pub fn into_edges(self) -> Vec<ScoredEdge> {
-        self.edges
+    /// The row of edge id `i` (which must be below [`ScoredEdges::len`]).
+    fn row(&self, i: usize) -> ScoredEdge {
+        ScoredEdge {
+            edge_index: i,
+            source: self.sources[i] as NodeId,
+            target: self.targets[i] as NodeId,
+            weight: self.weights[i],
+            score: self.scores[i],
+            raw_score: self.raw_scores.as_ref().map(|column| column[i]),
+            std_dev: self.std_devs.as_ref().map(|column| column[i]),
+            p_value: self.p_values.as_ref().map(|column| column[i]),
+        }
     }
 
-    /// The scored edge for a given original edge index, if present.
-    pub fn get(&self, edge_index: usize) -> Option<&ScoredEdge> {
-        self.edges.iter().find(|e| e.edge_index == edge_index)
+    /// Iterate over the scored edges in original edge order, yielding rows
+    /// by value.
+    pub fn iter(&self) -> Iter<'_> {
+        Iter {
+            scored: self,
+            ids: 0..self.len(),
+        }
+    }
+
+    /// The scored edge with original edge index `edge_index`, or `None` at
+    /// and past [`ScoredEdges::len`]. O(1).
+    pub fn get(&self, edge_index: usize) -> Option<ScoredEdge> {
+        (edge_index < self.len()).then(|| self.row(edge_index))
     }
 
     /// All scores, in original edge order.
-    pub fn scores(&self) -> Vec<f64> {
-        self.edges.iter().map(|e| e.score).collect()
+    pub fn scores(&self) -> &[f64] {
+        &self.scores
     }
 
     /// Indices (into the original graph) of edges whose score is at least
     /// `threshold`.
     pub fn filter(&self, threshold: f64) -> Vec<usize> {
-        self.edges
+        self.scores
             .iter()
-            .filter(|e| e.score >= threshold)
-            .map(|e| e.edge_index)
+            .enumerate()
+            .filter(|(_, &score)| score >= threshold)
+            .map(|(index, _)| index)
             .collect()
     }
 
     /// The ranking order: descending score, ties broken by descending weight,
     /// then by ascending edge index for determinism.
     fn rank_order(&self, a: usize, b: usize) -> std::cmp::Ordering {
-        let ea = &self.edges[a];
-        let eb = &self.edges[b];
-        eb.score
-            .partial_cmp(&ea.score)
+        self.scores[b]
+            .partial_cmp(&self.scores[a])
             .unwrap_or(std::cmp::Ordering::Equal)
             .then_with(|| {
-                eb.weight
-                    .partial_cmp(&ea.weight)
+                self.weights[b]
+                    .partial_cmp(&self.weights[a])
                     .unwrap_or(std::cmp::Ordering::Equal)
             })
-            .then_with(|| ea.edge_index.cmp(&eb.edge_index))
+            .then_with(|| a.cmp(&b))
     }
 
     /// Indices of the `k` highest scoring edges, in ranking order (descending
@@ -176,19 +454,16 @@ impl ScoredEdges {
     /// `O(E log E)` sort. The returned set and order are exactly those of a
     /// full sort, because the tie-break comparator is a total order.
     pub fn top_k(&self, k: usize) -> Vec<usize> {
-        if k == 0 || self.edges.is_empty() {
+        if k == 0 || self.is_empty() {
             return Vec::new();
         }
-        let mut order: Vec<usize> = (0..self.edges.len()).collect();
+        let mut order: Vec<usize> = (0..self.len()).collect();
         if k < order.len() {
             order.select_nth_unstable_by(k - 1, |&a, &b| self.rank_order(a, b));
             order.truncate(k);
         }
         order.sort_unstable_by(|&a, &b| self.rank_order(a, b));
         order
-            .into_iter()
-            .map(|i| self.edges[i].edge_index)
-            .collect()
     }
 
     /// Indices of the top `share` (in `[0, 1]`) of edges by score.
@@ -205,17 +480,17 @@ impl ScoredEdges {
                 message: format!("must lie in [0, 1], got {share}"),
             });
         }
-        let k = (share * self.edges.len() as f64).round() as usize;
+        let k = (share * self.len() as f64).round() as usize;
         Ok(self.top_k(k))
     }
 
     /// The score threshold that keeps exactly the top `k` edges (the k-th
     /// highest score), or `None` when `k` is zero or exceeds the edge count.
     pub fn threshold_for_count(&self, k: usize) -> Option<f64> {
-        if k == 0 || k > self.edges.len() {
+        if k == 0 || k > self.len() {
             return None;
         }
-        let mut scores = self.scores();
+        let mut scores = self.scores.clone();
         // Partial selection: only the k-th highest score is needed.
         let (_, kth, _) = scores.select_nth_unstable_by(k - 1, |a, b| {
             b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal)
@@ -251,12 +526,34 @@ impl ScoredEdges {
     }
 }
 
-impl<'a> IntoIterator for &'a ScoredEdges {
-    type Item = &'a ScoredEdge;
-    type IntoIter = std::slice::Iter<'a, ScoredEdge>;
+/// The row iterator of [`ScoredEdges::iter`]: [`ScoredEdge`] rows by value,
+/// in edge-id order.
+#[derive(Debug, Clone)]
+pub struct Iter<'a> {
+    scored: &'a ScoredEdges,
+    ids: Range<usize>,
+}
 
-    fn into_iter(self) -> Self::IntoIter {
-        self.edges.iter()
+impl Iterator for Iter<'_> {
+    type Item = ScoredEdge;
+
+    fn next(&mut self) -> Option<ScoredEdge> {
+        self.ids.next().map(|id| self.scored.row(id))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.ids.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Iter<'_> {}
+
+impl<'a> IntoIterator for &'a ScoredEdges {
+    type Item = ScoredEdge;
+    type IntoIter = Iter<'a>;
+
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
     }
 }
 
@@ -292,20 +589,8 @@ mod tests {
             vec![(0, 1, 10.0), (1, 2, 5.0), (2, 3, 1.0), (3, 0, 7.0)],
         )
         .unwrap();
-        let edges = graph
-            .edges()
-            .map(|e| ScoredEdge {
-                edge_index: e.index,
-                source: e.source,
-                target: e.target,
-                weight: e.weight,
-                score: e.weight / 10.0,
-                raw_score: None,
-                std_dev: None,
-                p_value: None,
-            })
-            .collect();
-        let scored = ScoredEdges::new("test", graph.node_count(), edges);
+        let scored =
+            ScoredEdges::score_edges("test", &graph, 1, [], |e| Ok((e.weight / 10.0, []))).unwrap();
         (graph, scored)
     }
 
@@ -378,20 +663,7 @@ mod tests {
             vec![(0, 1, 5.0), (1, 2, 5.0), (2, 0, 5.0)],
         )
         .unwrap();
-        let edges: Vec<ScoredEdge> = graph
-            .edges()
-            .map(|e| ScoredEdge {
-                edge_index: e.index,
-                source: e.source,
-                target: e.target,
-                weight: e.weight,
-                score: 1.0,
-                raw_score: None,
-                std_dev: None,
-                p_value: None,
-            })
-            .collect();
-        let scored = ScoredEdges::new("tied", 3, edges);
+        let scored = ScoredEdges::score_edges("tied", &graph, 1, [], |_| Ok((1.0, []))).unwrap();
         assert_eq!(scored.top_k(2), vec![0, 1]);
     }
 
@@ -408,5 +680,90 @@ mod tests {
         let (_, scored) = sample_scores();
         let count = (&scored).into_iter().count();
         assert_eq!(count, 4);
+    }
+
+    #[test]
+    fn get_indexes_every_edge_id() {
+        let (graph, scored) = sample_scores();
+        for edge in graph.edges() {
+            let row = scored.get(edge.index).unwrap();
+            assert_eq!(row, scored.iter().nth(edge.index).unwrap());
+            assert_eq!(row.edge_index, edge.index);
+            assert_eq!((row.source, row.target), (edge.source, edge.target));
+            assert_eq!(row.weight, edge.weight);
+            assert_eq!(row.score, edge.weight / 10.0);
+            assert_eq!(
+                (row.raw_score, row.std_dev, row.p_value),
+                (None, None, None)
+            );
+        }
+        assert!(scored.get(scored.len()).is_none());
+        assert!(scored.get(usize::MAX).is_none());
+    }
+
+    #[test]
+    fn memory_bytes_per_edge_by_method() {
+        use crate::method::Method;
+        // Dense, so the doubly-stochastic scaling exists.
+        let mut graph = WeightedGraph::with_nodes(Direction::Directed, 6);
+        for i in 0..6 {
+            for j in 0..6 {
+                if i != j {
+                    graph
+                        .add_edge(i, j, 1.0 + ((i * 7 + j * 3) % 5) as f64)
+                        .unwrap();
+                }
+            }
+        }
+        let methods = Method::every()
+            .into_iter()
+            .chain([Method::hss_approx_default()]);
+        for method in methods {
+            let scored = method.score_with_threads(&graph, 1).unwrap();
+            let per_edge = match method {
+                Method::NoiseCorrected => 40,
+                Method::NoiseCorrectedBinomial | Method::DisparityFilter => 32,
+                _ => 24,
+            };
+            assert_eq!(
+                scored.memory_bytes(),
+                per_edge * graph.edge_count(),
+                "{method}"
+            );
+        }
+    }
+
+    #[test]
+    fn score_edges_reports_the_lowest_failing_edge_at_every_thread_count() {
+        let mut graph = WeightedGraph::with_nodes(Direction::Directed, 100);
+        for i in 0..100 {
+            for j in 0..100 {
+                if i != j {
+                    graph.add_edge(i, j, (i * 100 + j) as f64).unwrap();
+                }
+            }
+        }
+        assert!(graph.edge_count() > 4 * 2048, "enough edges to fan out");
+        let failing = [3000, 4500];
+        let score = |edge: EdgeRef| {
+            if failing.contains(&edge.index) {
+                Err(BackboneError::InvalidParameter {
+                    parameter: "edge",
+                    message: edge.index.to_string(),
+                })
+            } else {
+                Ok((edge.weight, [edge.weight * 2.0]))
+            }
+        };
+        let fine = |edge: EdgeRef| Ok((edge.weight, [edge.weight * 2.0]));
+        let reference = ScoredEdges::score_edges("t", &graph, 1, [Column::PValue], fine).unwrap();
+        for threads in [1, 2, 3, 8] {
+            let err = ScoredEdges::score_edges("t", &graph, threads, [Column::PValue], score)
+                .unwrap_err();
+            assert!(err.to_string().ends_with(": 3000"), "{err}");
+            let scored =
+                ScoredEdges::score_edges("t", &graph, threads, [Column::PValue], fine).unwrap();
+            assert_eq!(scored, reference, "threads = {threads}");
+        }
     }
 }

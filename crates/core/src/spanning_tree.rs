@@ -10,7 +10,7 @@ use backboning_graph::algorithms::spanning_tree::maximum_spanning_tree;
 use backboning_graph::{GraphView, WeightedGraph};
 
 use crate::error::BackboneResult;
-use crate::scored::{BackboneExtractor, ScoredEdge, ScoredEdges};
+use crate::scored::{BackboneExtractor, ScoredEdges};
 
 /// The Maximum Spanning Tree backbone extractor.
 ///
@@ -37,33 +37,20 @@ impl MaximumSpanningTree {
     }
 
     /// Score every edge of any graph representation (tree edges score 1, the
-    /// rest 0); `_threads` is accepted for registry uniformity (Kruskal is
-    /// inherently sequential).
+    /// rest 0). Kruskal is inherently sequential; `threads` only splits the
+    /// pass that writes the scores.
     pub fn score_with_threads<G: GraphView>(
         &self,
         graph: &G,
-        _threads: usize,
+        threads: usize,
     ) -> BackboneResult<ScoredEdges> {
-        let tree: std::collections::HashSet<usize> =
-            maximum_spanning_tree(graph).into_iter().collect();
-        let scored = graph
-            .edges()
-            .map(|edge| ScoredEdge {
-                edge_index: edge.index,
-                source: edge.source,
-                target: edge.target,
-                weight: edge.weight,
-                score: if tree.contains(&edge.index) { 1.0 } else { 0.0 },
-                raw_score: None,
-                std_dev: None,
-                p_value: None,
-            })
-            .collect();
-        Ok(ScoredEdges::new(
-            BackboneExtractor::name(self),
-            graph.node_count(),
-            scored,
-        ))
+        let mut in_tree = vec![false; graph.edge_count()];
+        for index in maximum_spanning_tree(graph) {
+            in_tree[index] = true;
+        }
+        ScoredEdges::score_edges(BackboneExtractor::name(self), graph, threads, [], |edge| {
+            Ok((if in_tree[edge.index] { 1.0 } else { 0.0 }, []))
+        })
     }
 }
 

@@ -2,6 +2,8 @@
 
 use backboning_graph::GraphView;
 
+use crate::error::{BackboneError, BackboneResult};
+
 /// Strengths and totals of the (possibly symmetrised) network, precomputed
 /// once per extraction and shared by the statistical extractors.
 pub(crate) struct NetworkTotals {
@@ -55,6 +57,28 @@ impl NetworkTotals {
                 total,
             }
         }
+    }
+
+    /// Every per-node strength: out-strengths, then in-strengths.
+    pub fn sums(&self) -> impl Iterator<Item = f64> + '_ {
+        self.out_strength.iter().chain(&self.in_strength).copied()
+    }
+}
+
+/// Refuse a graph whose weight sums overflowed `f64`. The statistical
+/// extractors divide by node strengths (and NC by the network total), so an
+/// infinite sum would turn every affected score into `NaN` or `0` without an
+/// error; `method` names the extractor in the [`BackboneError::UnsupportedGraph`].
+pub(crate) fn ensure_finite(
+    method: &'static str,
+    sums: impl IntoIterator<Item = f64>,
+) -> BackboneResult<()> {
+    match sums.into_iter().find(|sum| !sum.is_finite()) {
+        None => Ok(()),
+        Some(sum) => Err(BackboneError::UnsupportedGraph {
+            method,
+            message: format!("edge weights sum to {sum}, past the largest finite f64"),
+        }),
     }
 }
 

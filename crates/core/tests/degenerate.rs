@@ -1,10 +1,12 @@
 //! Regression tests for degenerate inputs: isolated nodes, zero-weight edges,
-//! self-loops, and single-edge graphs must never panic in any extractor.
+//! self-loops, and single-edge graphs must never panic in any extractor, and
+//! weight sums that overflow `f64` are refused instead of scored.
 
 use backboning::{
-    BackboneExtractor, DisparityFilter, DoublyStochastic, HighSalienceSkeleton,
-    MaximumSpanningTree, NaiveThreshold, NoiseCorrected, NoiseCorrectedBinomial,
+    BackboneError, BackboneExtractor, DisparityFilter, DoublyStochastic, HighSalienceSkeleton,
+    MaximumSpanningTree, Method, NaiveThreshold, NoiseCorrected, NoiseCorrectedBinomial,
 };
+use backboning_graph::io::{read_edge_list_csr_str, read_edge_list_str, EdgeListOptions};
 use backboning_graph::{CsrGraph, Direction, WeightedGraph};
 
 fn extractors() -> Vec<Box<dyn BackboneExtractor>> {
@@ -185,4 +187,44 @@ fn single_edge_graph_survives_the_whole_pipeline() {
         assert_eq!(backbone.edge_count(), 1);
         assert_eq!(backbone.node_count(), 2);
     }
+}
+
+#[test]
+fn weight_sums_that_overflow_f64_are_refused() {
+    // NC: the total overflows (κ = ∞/∞); DF: node `a`'s strength overflows
+    // (every share w/∞ = 0). Both used to score every edge 0 and succeed.
+    let cases = [
+        (Method::NoiseCorrected, "a b 1e308\nb c 1e308\nc d 1\n"),
+        (
+            Method::DisparityFilter,
+            "a b 1e308\na c 1e308\na d 1\na e 1\n",
+        ),
+        (
+            Method::NoiseCorrectedBinomial,
+            "a b 1e308\na c 1e308\na d 1\na e 1\n",
+        ),
+    ];
+    let options = EdgeListOptions::default();
+    for (method, text) in cases {
+        let graph = read_edge_list_str(text, &options).unwrap();
+        let csr = read_edge_list_csr_str(text, &options).unwrap();
+        for err in [
+            method.score(&graph).unwrap_err(),
+            method.score(&csr).unwrap_err(),
+            method.score_with_threads(&csr, 2).unwrap_err(),
+        ] {
+            assert!(
+                matches!(err, BackboneError::UnsupportedGraph { method: name, .. }
+                    if name == method.score_name()),
+                "{method}: {err}"
+            );
+            assert!(err.to_string().contains("inf"), "{method}: {err}");
+        }
+    }
+
+    // One order of magnitude lower the sums are finite and DF scores the
+    // two heavy edges as it should: α = (1 − 1/2)³.
+    let graph = read_edge_list_str("a b 1e307\na c 1e307\na d 1\na e 1\n", &options).unwrap();
+    let scored = Method::DisparityFilter.score(&graph).unwrap();
+    assert_eq!(scored.scores(), &[0.875, 0.875, 0.0, 0.0]);
 }

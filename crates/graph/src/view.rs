@@ -35,7 +35,10 @@ use crate::graph::{Direction, EdgeRef, NodeId, WeightedGraph};
 ///   `degree` counts incident edges (self-loops once) and equals both
 ///   `out_degree` and `in_degree`; for directed graphs `degree` is
 ///   `out_degree + in_degree`.
-pub trait GraphView {
+///
+/// A view is read-only, so it is `Sync`: scoring workers read one graph
+/// from several threads at once.
+pub trait GraphView: Sync {
     /// Direction semantics of the graph.
     fn direction(&self) -> Direction;
 

@@ -12,7 +12,8 @@
 //! consequences:
 //!
 //! * **Determinism** — [`par_map`] and [`par_chunks`] return element `i`'s
-//!   result at position `i` no matter how many threads ran, and
+//!   result at position `i` no matter how many threads ran, [`par_split`]
+//!   lets each worker fill its own range of an output in place, and
 //!   [`par_accumulate`] merges the per-worker accumulators in ascending range
 //!   order. Callers whose per-item work is a pure function therefore get
 //!   *bit-identical* output at 1, 2 or N threads; callers that accumulate
@@ -113,23 +114,64 @@ where
     R: Send,
     F: Fn(Range<usize>) -> R + Sync,
 {
+    par_split(total, threads, (), |range, ()| work(range))
+}
+
+/// Output storage that can be cut at an item boundary, so each worker of
+/// [`par_split`] fills its own contiguous part in place.
+pub trait SplitAt: Sized {
+    /// Split into the first `mid` items and the rest.
+    fn split_at(self, mid: usize) -> (Self, Self);
+}
+
+impl<T> SplitAt for &mut [T] {
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        self.split_at_mut(mid)
+    }
+}
+
+/// No output: [`par_ranges`] is [`par_split`] over `()`.
+impl SplitAt for () {
+    fn split_at(self, _mid: usize) -> (Self, Self) {
+        ((), ())
+    }
+}
+
+/// [`par_ranges`] with in-place output: `output` holds one slot per index of
+/// `0..total`, and each worker receives its range together with the part of
+/// `output` covering exactly that range (part `i` starts at the range's
+/// first index). Workers write disjoint parts, so nothing is collected or
+/// copied afterwards; the per-range results come back in ascending range
+/// order, over the same partition as [`par_ranges`].
+pub fn par_split<S, R, F>(total: usize, threads: usize, output: S, work: F) -> Vec<R>
+where
+    S: SplitAt + Send,
+    R: Send,
+    F: Fn(Range<usize>, S) -> R + Sync,
+{
     let threads = threads.max(1).min(total.max(1));
     if threads == 1 {
-        return vec![work(0..total)];
+        return vec![work(0..total, output)];
     }
     // `ceil(total / chunk)` ranges cover `0..total`; never spawn a worker for
     // an empty tail range (e.g. total = 5, threads = 4 needs only 3 chunks).
     let chunk = total.div_ceil(threads);
-    let ranges: Vec<Range<usize>> = (0..threads)
-        .map(|i| (i * chunk).min(total)..((i + 1) * chunk).min(total))
-        .filter(|range| !range.is_empty())
-        .collect();
+    let mut parts = Vec::with_capacity(threads);
+    let mut rest = output;
+    let mut start = 0;
+    while start < total {
+        let end = (start + chunk).min(total);
+        let (part, tail) = rest.split_at(end - start);
+        parts.push((start..end, part));
+        rest = tail;
+        start = end;
+    }
     let mut results: Vec<Option<R>> = Vec::new();
-    results.resize_with(ranges.len(), || None);
+    results.resize_with(parts.len(), || None);
     std::thread::scope(|scope| {
-        for (range, slot) in ranges.into_iter().zip(results.iter_mut()) {
+        for ((range, part), slot) in parts.into_iter().zip(results.iter_mut()) {
             let work = &work;
-            scope.spawn(move || *slot = Some(work(range)));
+            scope.spawn(move || *slot = Some(work(range, part)));
         }
     });
     results
@@ -245,6 +287,26 @@ mod tests {
                     seen.iter().all(|&c| c == 1),
                     "total {total}, threads {threads}: {ranges:?}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn par_split_hands_each_worker_its_own_part() {
+        for total in [0usize, 1, 5, 17, 64] {
+            for threads in [1usize, 2, 3, 5, 32] {
+                let mut out = vec![usize::MAX; total];
+                let lens = par_split(total, threads, out.as_mut_slice(), |range, part| {
+                    assert_eq!(range.len(), part.len());
+                    for (slot, i) in part.iter_mut().zip(range) {
+                        *slot = i;
+                    }
+                    part.len()
+                });
+                assert_eq!(out, (0..total).collect::<Vec<_>>());
+                assert_eq!(lens.iter().sum::<usize>(), total);
+                let ranges = par_ranges(total, threads, |r| r.len());
+                assert_eq!(lens, ranges, "same partition as par_ranges");
             }
         }
     }

@@ -17,8 +17,14 @@
 //! | `http_response_bytes_total` | — | counter (response heads + bodies) |
 //!
 //! The `/metrics` endpoint additionally appends scrape-time samples owned
-//! elsewhere: the graph count, the resolved worker-thread count, and the
-//! registry's scored-edge / compare-report cache counters.
+//! elsewhere: the graph count, the resolved worker-thread count, the
+//! registry's scored-edge / compare-report cache counters, and two memory
+//! gauges, each summed over every registered graph's current generation:
+//!
+//! | name | labels | kind |
+//! |---|---|---|
+//! | `graph_memory_bytes` | — | gauge (CSR arrays, `CsrGraph::memory_bytes`) |
+//! | `score_cache_bytes` | — | gauge (cached score sets, `ScoredEdges::memory_bytes`) |
 //!
 //! Requests are recorded **before** their response bytes are written, so a
 //! client that has read its response can rely on a subsequent scrape already
@@ -99,11 +105,19 @@ impl ServerMetrics {
     }
 
     /// Renders the `/metrics` body: every request series plus scrape-time
-    /// samples for the graph count, worker pool size, and cache counters.
+    /// samples for the graph count, worker pool size, memory gauges and
+    /// cache counters.
     pub fn render(&self, registry: &Registry, workers: usize, as_json: bool) -> String {
         let mut snapshot = self.registry.snapshot();
         snapshot.push_gauge("graphs_registered", &[], registry.graph_count() as i64);
         snapshot.push_gauge("worker_threads", &[], workers as i64);
+        let (graph_bytes, score_bytes) = registry.memory_bytes();
+        for (name, bytes) in [
+            ("graph_memory_bytes", graph_bytes),
+            ("score_cache_bytes", score_bytes),
+        ] {
+            snapshot.push_gauge(name, &[], i64::try_from(bytes).unwrap_or(i64::MAX));
+        }
         let counters = registry.cache_counters();
         snapshot.push_counter("score_cache_hits_total", &[], counters.scored_hits);
         snapshot.push_counter("score_cache_misses_total", &[], counters.scored_misses);
@@ -232,6 +246,8 @@ mod tests {
         assert!(text.contains("http_response_bytes_total 600\n"));
         assert!(text.contains("worker_threads 4\n"));
         assert!(text.contains("graphs_registered 0\n"));
+        assert!(text.contains("graph_memory_bytes 0\n"));
+        assert!(text.contains("score_cache_bytes 0\n"));
         assert!(text.contains("score_cache_hits_total 0\n"));
         assert!(text.contains("compare_cache_evictions_total 0\n"));
 

@@ -59,17 +59,26 @@ impl Value {
     }
 }
 
-/// A minimal recursive-descent JSON reader over the body bytes.
+/// How deeply arrays and objects may nest in a delta body. A valid body
+/// nests three levels (`{"ops": [{…}]}`); the bound keeps a body of a
+/// million `[` from overflowing a worker's stack, which aborts the process.
+const MAX_JSON_DEPTH: usize = 32;
+
+/// A minimal recursive-descent JSON reader over the body text.
 struct Reader<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Reader<'a> {
     fn new(text: &'a str) -> Self {
         Reader {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -104,8 +113,19 @@ impl<'a> Reader<'a> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_JSON_DEPTH => Err(self.error(&format!(
+                "arrays and objects nest deeper than {MAX_JSON_DEPTH} levels"
+            ))),
+            Some(open @ (b'{' | b'[')) => {
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Value::Text(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool),
             Some(b'f') => self.literal("false", Value::Bool),
@@ -213,11 +233,14 @@ impl<'a> Reader<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Copy a full UTF-8 scalar, not a byte.
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest)
-                        .map_err(|_| self.error("invalid UTF-8 in string"))?;
-                    let ch = text.chars().next().expect("non-empty");
+                    // Copy a full UTF-8 scalar, not a byte. Every step
+                    // above moves over whole characters, so `pos` is on a
+                    // character boundary; slicing there is O(1).
+                    let ch = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.error("invalid UTF-8 in string"))?;
                     out.push(ch);
                     self.pos += ch.len_utf8();
                 }
@@ -430,6 +453,35 @@ mod tests {
         }
         let err = parse_json_delta(r#"{"ops": [{"op": "add",]}"#).unwrap_err();
         assert!(err.contains("at byte"), "{err}");
+    }
+
+    #[test]
+    fn deep_nesting_is_refused_without_overflowing_the_stack() {
+        let deep = "[".repeat(1_000_000);
+        let err = parse_json_delta(&deep).unwrap_err();
+        assert!(err.contains("nest deeper than 32 levels"), "{err}");
+        // The bound sits well above what a delta body needs.
+        let nested = format!("{}{}", "[".repeat(31), "]".repeat(31));
+        let err = parse_json_delta(&nested).unwrap_err();
+        assert!(err.contains("top-level object"), "{err}");
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Re-validating the rest of the body per character made this
+        // quadratic: minutes for a few MiB, which pins a worker.
+        let text = "\u{e9}x".repeat(1 << 20);
+        let body = format!(r#"{{"ops": [{{"op": "remove", "source": "{text}", "target": "b"}}]}}"#);
+        let start = std::time::Instant::now();
+        let batch = parse_json_delta(&body).unwrap();
+        assert!(start.elapsed() < std::time::Duration::from_secs(20));
+        assert_eq!(
+            batch.ops[0].kind,
+            DeltaOpKind::Remove {
+                source: text,
+                target: "b".to_string(),
+            }
+        );
     }
 
     #[test]

@@ -49,10 +49,13 @@
 //! doubly-stochastic scaling answers every DS query with the same error
 //! without re-running Sinkhorn.
 //!
-//! Both caches are **LRU-bounded**: a `ScoredEdges` set of a million-edge
-//! [`CsrGraph`] is an order of magnitude larger than the graph itself, so
-//! at most `MAX_SCORED_METHODS` score sets (and `MAX_COMPARE_REPORTS`
-//! reports) are retained per state, evicting the least-recently-used slot.
+//! Both caches are **LRU-bounded**: a `ScoredEdges` set costs 24–40 bytes
+//! per edge (see [`backboning::scored`]), the same order as the 32–48 bytes
+//! per edge (plus per-node arrays) of the [`CsrGraph`] it scores, so a
+//! client sweeping methods could otherwise pin several graphs' worth of
+//! memory. At most `MAX_SCORED_METHODS` score sets (and
+//! `MAX_COMPARE_REPORTS` reports) are retained per state, evicting the
+//! least-recently-used slot.
 //! Eviction is always safe: every cached value is a pure function of
 //! `(graph, key)`, so a re-scored response is byte-identical to the
 //! evicted one (pinned by the integration suite).
@@ -116,9 +119,9 @@ pub struct CacheCounters {
 const MAX_COMPARE_REPORTS: usize = 32;
 
 /// Maximum number of scored-edge sets retained per state. A score set
-/// carries several `f64` columns per edge, so on a multi-million-edge graph
-/// it dwarfs the CSR arrays themselves; bounding the per-state set keeps a
-/// client sweeping methods from pinning `7 × O(E)` memory.
+/// carries 24–40 bytes per edge, comparable to the CSR arrays themselves;
+/// bounding the per-state set keeps a client sweeping methods from pinning
+/// `7 × O(E)` memory.
 const MAX_SCORED_METHODS: usize = 4;
 
 /// One immutable generation of a graph: the compact CSR plus the caches
@@ -219,6 +222,19 @@ impl GraphState {
             .collect();
         names.sort_unstable();
         names
+    }
+
+    /// Bytes held by this state's successfully cached score sets
+    /// ([`ScoredEdges::memory_bytes`]).
+    pub fn score_cache_bytes(&self) -> usize {
+        let cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
+        cache
+            .values()
+            .filter_map(|(_, _, slot)| match slot.get() {
+                Some(Ok(scored)) => Some(scored.memory_bytes()),
+                _ => None,
+            })
+            .sum()
     }
 
     /// Every successfully cached `(key, method, scores)` triple — the raw
@@ -616,6 +632,21 @@ impl Registry {
             effect,
             compacted,
             rescored_methods: rescored,
+        })
+    }
+
+    /// Bytes held by every registered graph's current generation:
+    /// `(graph bytes, score-cache bytes)`, the sums of
+    /// [`CsrGraph::memory_bytes`] and [`GraphState::score_cache_bytes`].
+    /// Generations a patch has replaced are not counted, even while an
+    /// in-flight request still holds one.
+    pub fn memory_bytes(&self) -> (usize, usize) {
+        self.list().iter().fold((0, 0), |(graphs, scores), entry| {
+            let state = entry.snapshot();
+            (
+                graphs + state.graph.memory_bytes(),
+                scores + state.score_cache_bytes(),
+            )
         })
     }
 

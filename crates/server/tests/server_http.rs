@@ -10,6 +10,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 
+use backboning::Method;
 use backboning_graph::io::{read_edge_list_csr_file, EdgeListOptions};
 use backboning_graph::{CsrGraph, Direction};
 use backboning_server::{Server, ServerConfig};
@@ -739,6 +740,37 @@ fn metrics_route_counts_requests_exactly() {
         head.contains("Content-Type: text/plain; version=0.0.4; charset=utf-8"),
         "{head}"
     );
+    server.shutdown();
+}
+
+/// `/metrics` reports the bytes held by the registered graphs and by their
+/// cached score sets: nothing is cached before the first backbone query,
+/// and afterwards the cache holds exactly the nc score set.
+#[test]
+fn metrics_report_graph_and_score_cache_memory() {
+    let server = trade_server(1);
+    let gauge = |name: &str| -> usize {
+        let (status, body) = get(&server, "/metrics");
+        assert_eq!(status, 200);
+        let metrics = text(&body);
+        let prefix = format!("{name} ");
+        metrics
+            .lines()
+            .find_map(|line| line.strip_prefix(prefix.as_str()))
+            .unwrap_or_else(|| panic!("no `{name}` gauge in {metrics}"))
+            .parse()
+            .expect("gauge value parses")
+    };
+    let graph = trade_graph();
+    assert_eq!(gauge("graph_memory_bytes"), graph.memory_bytes());
+    assert_eq!(gauge("score_cache_bytes"), 0);
+
+    let (status, _) = get(&server, "/graphs/trade/backbone?method=nc&top_k=5");
+    assert_eq!(status, 200);
+    let nc = Method::NoiseCorrected.score(&graph).unwrap();
+    assert!(nc.memory_bytes() > 0);
+    assert_eq!(gauge("score_cache_bytes"), nc.memory_bytes());
+    assert_eq!(gauge("graph_memory_bytes"), graph.memory_bytes());
     server.shutdown();
 }
 
