@@ -65,9 +65,31 @@ TIMINGS_ERR=$(./target/release/backbone --method nc --top-k 5 --undirected --tim
 echo "$TIMINGS_OUT" | grep -q '"stage_ms": { "score": '
 echo "$TIMINGS_ERR" | grep -q '^ingest'
 echo "$TIMINGS_ERR" | grep -q '^score'
+echo "$TIMINGS_ERR" | grep -q '^write'
 echo "$TIMINGS_ERR" | grep -q '^total'
 # stdout stays pure pipeline output: no table rows leak into it.
 if echo "$TIMINGS_OUT" | grep -q '^total'; then exit 1; fi
+
+echo "==> label-route smoke: decimal and hashed labels give one backbone"
+# Generated node names 0..n-1 take the label table's decimal route; the
+# same graph with every name prefixed by `n` takes its hashed route. Once
+# the prefix is stripped again, the two backbones are the same bytes.
+LABEL_TSV=$(mktemp --suffix .tsv)
+LABEL_PREFIXED=$(mktemp --suffix .tsv)
+LABEL_DECIMAL=$(mktemp --suffix .tsv)
+LABEL_HASHED=$(mktemp --suffix .tsv)
+cleanup_labels() { rm -f "$LABEL_TSV" "$LABEL_PREFIXED" "$LABEL_DECIMAL" "$LABEL_HASHED"; }
+trap cleanup_labels EXIT
+./target/release/backbone gen 'ba:n=20000,m=3,w=powerlaw(2.5),noise=0.1,seed=4242' > "$LABEL_TSV"
+awk 'BEGIN { OFS = "\t" } /^#/ { print; next } { print "n" $1, "n" $2, $3 }' \
+    "$LABEL_TSV" > "$LABEL_PREFIXED"
+./target/release/backbone -m nc --top-share 0.1 "$LABEL_TSV" > "$LABEL_DECIMAL"
+./target/release/backbone -m nc --top-share 0.1 "$LABEL_PREFIXED" \
+    | sed 's/^n//; s/\tn/\t/' > "$LABEL_HASHED"
+[ "$(wc -l < "$LABEL_DECIMAL")" -gt 1000 ]
+cmp "$LABEL_DECIMAL" "$LABEL_HASHED"
+cleanup_labels
+trap - EXIT
 
 echo "==> gen smoke: backbone gen | backbone nc"
 # A community-structured scenario straight through the pipeline, by pipe.

@@ -96,7 +96,8 @@ OUTPUT:
     --threads <N>          worker threads (default: auto; also honours the
                            BACKBONING_THREADS environment variable)
     --timings              print a per-stage wall-time breakdown (ingest /
-                           score / select / build) to stderr after the run
+                           score / select / build / write) to stderr after
+                           the run
 
 COMPARE MODE:
     backbone compare [--methods LIST] [--top-share F] [OPTIONS] [INPUT]
@@ -817,6 +818,7 @@ pub fn execute(config: &CliConfig, out: &mut dyn Write) -> Result<(), String> {
         .run(&graph)
         .map_err(|e| e.to_string())?;
 
+    let write_start = std::time::Instant::now();
     match config.output {
         OutputKind::Backbone => run
             .write_backbone(&graph, &mut *out)
@@ -828,15 +830,21 @@ pub fn execute(config: &CliConfig, out: &mut dyn Write) -> Result<(), String> {
             writeln!(out, "{}", run.summary_json()).map_err(|e| e.to_string())?
         }
     }
+    let write = write_start.elapsed();
     if config.timings {
-        eprint!("{}", render_timings_table(ingest, &run.stages));
+        eprint!("{}", render_timings_table(ingest, &run.stages, write));
     }
     Ok(())
 }
 
 /// The `--timings` stderr table: one row per pipeline stage (ingest, then
-/// the [`backboning::StageTimings`] stages) plus a total.
-fn render_timings_table(ingest: std::time::Duration, stages: &backboning::StageTimings) -> String {
+/// the [`backboning::StageTimings`] stages, then writing the output) plus a
+/// total.
+fn render_timings_table(
+    ingest: std::time::Duration,
+    stages: &backboning::StageTimings,
+    write: std::time::Duration,
+) -> String {
     let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
     let mut rows = vec![("ingest", ms(ingest))];
     if let Some(score) = stages.score {
@@ -844,6 +852,7 @@ fn render_timings_table(ingest: std::time::Duration, stages: &backboning::StageT
     }
     rows.push(("select", ms(stages.select)));
     rows.push(("build", ms(stages.build)));
+    rows.push(("write", ms(write)));
     let total: f64 = rows.iter().map(|(_, v)| v).sum();
     rows.push(("total", total));
     let mut table = String::from("stage         ms\n------  --------\n");
@@ -1086,7 +1095,11 @@ mod tests {
             select: std::time::Duration::from_micros(250),
             build: std::time::Duration::from_micros(250),
         };
-        let table = render_timings_table(std::time::Duration::from_millis(2), &stages);
+        let table = render_timings_table(
+            std::time::Duration::from_millis(2),
+            &stages,
+            std::time::Duration::from_micros(1250),
+        );
         assert_eq!(
             table,
             "stage         ms\n\
@@ -1095,16 +1108,23 @@ mod tests {
              score      1.500\n\
              select     0.250\n\
              build      0.250\n\
-             total      4.000\n"
+             write      1.250\n\
+             total      5.250\n"
         );
-        // Without a score stage the row disappears instead of reading 0.
+        // Without a score stage the row disappears instead of reading 0;
+        // the write row stays, and the total includes it.
         let cached = backboning::StageTimings {
             score: None,
             ..stages
         };
-        let table = render_timings_table(std::time::Duration::ZERO, &cached);
+        let table = render_timings_table(
+            std::time::Duration::ZERO,
+            &cached,
+            std::time::Duration::from_micros(500),
+        );
         assert!(!table.contains("score"));
-        assert!(table.contains("total      0.500\n"), "{table}");
+        assert!(table.contains("write      0.500\n"), "{table}");
+        assert!(table.contains("total      1.000\n"), "{table}");
     }
 
     #[test]

@@ -16,13 +16,18 @@ use backboning_data::scalability_workload;
 use crate::methods::Method;
 use crate::report::TextTable;
 
+/// Scoring repetitions per (size, method) cell. A busy host only ever adds
+/// time, so the fastest repetition is the robust estimate of the cost.
+pub const REPETITIONS: usize = 5;
+
 /// Timing of every method at one network size.
 #[derive(Debug, Clone)]
 pub struct ScalabilityPoint {
     /// Number of edges of the workload.
     pub edges: usize,
-    /// Seconds per method (aligned with the result's method list; `None` when
-    /// the method was skipped at this size).
+    /// Seconds per method, the fastest of [`REPETITIONS`] scoring runs
+    /// (aligned with the result's method list; `None` when the method was
+    /// skipped at this size or failed).
     pub seconds: Vec<Option<f64>>,
 }
 
@@ -119,10 +124,16 @@ pub fn run(
                 seconds.push(None);
                 continue;
             }
-            let start = Instant::now();
-            let outcome = method.score(&graph);
-            let elapsed = start.elapsed().as_secs_f64();
-            seconds.push(outcome.ok().map(|_| elapsed));
+            let fastest = (0..REPETITIONS)
+                .map(|_| {
+                    let start = Instant::now();
+                    let outcome = method.score(&graph);
+                    let elapsed = start.elapsed().as_secs_f64();
+                    outcome.ok().map(|_| elapsed)
+                })
+                .collect::<Option<Vec<f64>>>()
+                .map(|runs| runs.into_iter().fold(f64::INFINITY, f64::min));
+            seconds.push(fastest);
         }
         points.push(ScalabilityPoint { edges, seconds });
     }

@@ -383,8 +383,9 @@ impl ScenarioSpec {
                 if edges == 0 {
                     return Err(spec_error("`e` must be at least 1"));
                 }
-                let max_pairs = self.nodes as u64 * (self.nodes as u64 - 1) / 2;
-                if edges as u64 > max_pairs {
+                // In u128: `n·(n − 1)` overflows u64 from n = 2^32 + 1 on.
+                let max_pairs = self.nodes as u128 * (self.nodes as u128 - 1) / 2;
+                if edges as u128 > max_pairs {
                     return Err(spec_error(format!(
                         "`e` ({edges}) exceeds the {max_pairs} distinct pairs of n={}",
                         self.nodes

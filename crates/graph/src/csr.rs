@@ -5,9 +5,10 @@
 //! instead of a `Vec` per node) and parallel dense edge arrays in edge-id
 //! order. A 10M-edge undirected graph costs ~48 bytes per edge here versus
 //! several hundred in the adjacency-map [`WeightedGraph`], which remains as a
-//! mutable builder/compat shim for small graphs. The node label table is
-//! shared behind an `Arc`, so a clone or a reweighted copy
-//! ([`CsrGraph::with_reweighted_edges`]) never copies the labels.
+//! mutable builder/compat shim for small graphs. The node labels live in one
+//! [`LabelTable`] shared behind an `Arc`, so a clone, a reweighted copy
+//! ([`CsrGraph::with_reweighted_edges`]) or a PATCH compaction that adds no
+//! node never copies the labels.
 //!
 //! Structure invariants (shared with [`WeightedGraph`], pinned by the parity
 //! suite):
@@ -28,14 +29,13 @@
 //!
 //! [`CsrDijkstra`]: crate::algorithms::shortest_path::CsrDijkstra
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::mem::size_of;
 use std::ops::Range;
 use std::sync::Arc;
 
 use crate::error::{GraphError, GraphResult};
 use crate::graph::{Direction, EdgeRef, NodeId, WeightedGraph};
+use crate::labels::LabelTable;
 use crate::view::GraphView;
 
 /// The maximum node/edge/entry count the compact core can address.
@@ -77,9 +77,10 @@ pub struct CsrGraph {
     /// In-degree per node (directed graphs only; empty for undirected, where
     /// in-degree equals the row length).
     in_degrees: Vec<u32>,
-    /// Node labels (empty when the graph is unlabeled). Shared: clones and
-    /// reweighted copies point at one table instead of copying V strings.
-    labels: Arc<Vec<Option<String>>>,
+    /// Node labels (empty when the graph is unlabeled). Shared: clones,
+    /// reweighted copies and label-preserving compactions point at one
+    /// table instead of copying it.
+    labels: Arc<LabelTable>,
 }
 
 impl CsrGraph {
@@ -125,14 +126,6 @@ impl CsrGraph {
             Direction::Undirected => Vec::new(),
             Direction::Directed => graph.nodes().map(|n| graph.in_degree(n) as u32).collect(),
         };
-        let mut labels: Vec<Option<String>> = graph
-            .nodes()
-            .map(|n| graph.label(n).map(str::to_string))
-            .collect();
-        if labels.iter().all(Option::is_none) {
-            labels = Vec::new();
-        }
-
         Ok(CsrGraph {
             direction: graph.direction(),
             node_count,
@@ -144,7 +137,7 @@ impl CsrGraph {
             edge_targets,
             edge_weights,
             in_degrees,
-            labels: Arc::new(labels),
+            labels: Arc::new(graph.label_table().clone()),
         })
     }
 
@@ -235,7 +228,22 @@ impl CsrGraph {
 
     /// The label of `node`, if it has one.
     pub fn label(&self, node: NodeId) -> Option<&str> {
-        self.labels.get(node).and_then(|label| label.as_deref())
+        self.labels.label(node)
+    }
+
+    /// Look up a node by label.
+    pub fn node_by_label(&self, label: &str) -> Option<NodeId> {
+        self.labels.get(label)
+    }
+
+    /// The shared label table.
+    pub(crate) fn label_table(&self) -> &Arc<LabelTable> {
+        &self.labels
+    }
+
+    /// This graph with `labels` as its label table.
+    pub(crate) fn with_label_table(self, labels: Arc<LabelTable>) -> CsrGraph {
+        CsrGraph { labels, ..self }
     }
 
     /// The entry range of `node`'s adjacency row.
@@ -363,21 +371,15 @@ impl CsrGraph {
     /// Build an adjacency-map graph with the same node set (and labels)
     /// containing only the edges whose dense ids are listed in
     /// `edge_indices` — semantics identical to
-    /// [`WeightedGraph::subgraph_with_edges`]. This copies every node label;
+    /// [`WeightedGraph::subgraph_with_edges`]. This copies the label table;
     /// to write a backbone, [`crate::io::write_edges`] reads the kept edges
     /// from this graph by id instead.
     pub fn subgraph_with_edges(&self, edge_indices: &[usize]) -> GraphResult<WeightedGraph> {
-        let mut subgraph = WeightedGraph::new(self.direction);
-        for node in self.nodes() {
-            match self.label(node) {
-                Some(label) => {
-                    subgraph.add_labeled_node(label.to_string())?;
-                }
-                None => {
-                    subgraph.add_node();
-                }
-            }
-        }
+        let mut subgraph = WeightedGraph::with_label_table(
+            self.direction,
+            self.node_count,
+            (*self.labels).clone(),
+        );
         for &index in edge_indices {
             let edge = self.edge(index).ok_or(GraphError::InvalidParameter {
                 parameter: "edge_indices",
@@ -393,10 +395,12 @@ impl CsrGraph {
         self.subgraph_with_edges(&(0..self.edge_count()).collect::<Vec<_>>())
     }
 
-    /// Precise heap footprint of the compact arrays in bytes (labels
-    /// excluded): the number reported by the scaling benchmarks.
+    /// Precise heap footprint in bytes: the compact arrays plus the label
+    /// table ([`LabelTable::memory_bytes`]; zero for an unlabeled graph).
+    /// The number reported by the scaling benchmarks and `/metrics`.
     pub fn memory_bytes(&self) -> usize {
-        self.offsets.len() * size_of::<u32>()
+        self.labels.memory_bytes()
+            + self.offsets.len() * size_of::<u32>()
             + self.targets.len() * size_of::<u32>()
             + self.entry_edge_ids.len() * size_of::<u32>()
             + self.entry_weights.len() * size_of::<f64>()
@@ -410,9 +414,9 @@ impl CsrGraph {
 /// Streaming builder for [`CsrGraph`]: push `(source, target, weight)` edges
 /// one at a time (by index or by label) and [`CsrBuilder::finish`] into the
 /// compact form. No intermediate [`WeightedGraph`] is involved. A labelled
-/// edge costs one label-map lookup per endpoint, and each label is stored
-/// once: the map owns it while building and [`CsrBuilder::finish`] moves it
-/// into the graph's label table. Edges are only appended while building;
+/// edge costs one [`LabelTable`] lookup per endpoint, and each label is
+/// stored once, in the table's arena, which [`CsrBuilder::finish`] moves
+/// into the graph. Edges are only appended while building;
 /// `finish` finds duplicates with a counting sort by source, which
 /// reproduces [`WeightedGraph::add_edge`]'s left-to-right duplicate
 /// accumulation bit-exactly (pinned by the ingestion parity suite).
@@ -423,8 +427,8 @@ pub struct CsrBuilder {
     sources: Vec<u32>,
     targets: Vec<u32>,
     weights: Vec<f64>,
-    /// Every labelled node's label and id.
-    label_index: HashMap<String, u32>,
+    /// Every labelled node's label.
+    labels: LabelTable,
 }
 
 /// Marks a pushed edge that repeats an earlier one in [`CsrBuilder::finish`]:
@@ -441,7 +445,7 @@ impl CsrBuilder {
             sources: Vec::new(),
             targets: Vec::new(),
             weights: Vec::new(),
-            label_index: HashMap::new(),
+            labels: LabelTable::new(),
         }
     }
 
@@ -457,9 +461,7 @@ impl CsrBuilder {
 
     /// Start a builder with `node_count` pre-declared nodes carrying an
     /// existing label table (shorter tables are padded with unlabeled
-    /// nodes; a table without labels declares every node unlabeled). Used
-    /// to rebuild a compact graph without re-interning labels: the table's
-    /// strings move into the builder, none is copied.
+    /// nodes; a table without labels declares every node unlabeled).
     pub fn with_labeled_nodes(
         direction: Direction,
         node_count: usize,
@@ -472,19 +474,13 @@ impl CsrBuilder {
             });
         }
         let mut builder = CsrBuilder::with_nodes(direction, node_count)?;
-        builder.label_index.reserve(labels.len());
-        for (id, label) in labels.into_iter().enumerate() {
+        for (id, label) in labels.iter().enumerate() {
             let Some(label) = label else { continue };
-            match builder.label_index.entry(label) {
-                Entry::Occupied(taken) => {
-                    return Err(GraphError::InvalidParameter {
-                        parameter: "labels",
-                        message: format!("duplicate node label `{}`", taken.key()),
-                    });
-                }
-                Entry::Vacant(slot) => {
-                    slot.insert(id as u32);
-                }
+            if builder.labels.intern(label, id)? != id {
+                return Err(GraphError::InvalidParameter {
+                    parameter: "labels",
+                    message: format!("duplicate node label `{label}`"),
+                });
             }
         }
         Ok(builder)
@@ -509,14 +505,11 @@ impl CsrBuilder {
     /// the same first-appearance id assignment as
     /// [`WeightedGraph::ensure_node`].
     pub fn ensure_node(&mut self, label: &str) -> GraphResult<NodeId> {
-        if let Some(&id) = self.label_index.get(label) {
-            return Ok(id as NodeId);
+        let id = self.labels.intern(label, self.node_count)?;
+        if id == self.node_count {
+            self.node_count += 1;
         }
-        check_capacity("nodes", self.node_count as u64 + 1)?;
-        let id = self.node_count as u32;
-        self.label_index.insert(label.to_string(), id);
-        self.node_count += 1;
-        Ok(id as NodeId)
+        Ok(id)
     }
 
     /// Push an edge by node index, growing the node count as needed.
@@ -557,17 +550,9 @@ impl CsrBuilder {
             sources: mut edge_sources,
             targets: mut edge_targets,
             weights: mut edge_weights,
-            label_index,
+            mut labels,
         } = self;
-        let labels = if label_index.is_empty() {
-            Vec::new()
-        } else {
-            let mut labels = vec![None; node_count];
-            for (label, id) in label_index {
-                labels[id as usize] = Some(label);
-            }
-            labels
-        };
+        labels.shrink_to_fit();
 
         // Bucket push indices by source with a stable counting sort, so each
         // bucket lists one source's pushes in arrival order. `bucket_end`
@@ -1031,5 +1016,30 @@ mod tests {
         // + 4 edge sources/targets ×2 + 4 edge weights.
         let expected = 5 * 4 + 8 * 4 + 8 * 4 + 8 * 8 + 4 * 4 + 4 * 4 + 4 * 8;
         assert_eq!(csr.memory_bytes(), expected);
+    }
+
+    #[test]
+    fn memory_bytes_counts_the_label_table() {
+        let mut builder = CsrBuilder::new(Direction::Directed);
+        builder.add_labeled_edge("alpha", "b", 1.0).unwrap();
+        builder.add_labeled_edge("b", "0", 2.0).unwrap();
+        let csr = builder.finish().unwrap();
+        // 4 offsets + 2 entry targets/ids + 2 entry weights + 2 edge
+        // sources/targets + 2 edge weights + 3 in-degrees.
+        let arrays = 4 * 4 + 2 * 4 * 2 + 2 * 8 + 2 * 4 * 2 + 2 * 8 + 3 * 4;
+        // Labels: 7 arena bytes, 3 span ends, one decimal slot (`0`) and
+        // the 16-slot hash index holding `alpha` and `b`.
+        let labels = 7 + 3 * 4 + 4 + 16 * 8;
+        assert_eq!(csr.memory_bytes(), arrays + labels);
+        assert_eq!(csr.label_table().memory_bytes(), labels);
+    }
+
+    #[test]
+    fn a_huge_decimal_label_costs_no_huge_table() {
+        let options = crate::io::EdgeListOptions::default();
+        let csr = crate::io::read_edge_list_csr_str("0 999999999\n", &options).unwrap();
+        assert_eq!(csr.node_by_label("999999999"), Some(1));
+        assert_eq!(csr.label(1), Some("999999999"));
+        assert!(csr.memory_bytes() < 512, "{}", csr.memory_bytes());
     }
 }

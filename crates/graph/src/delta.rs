@@ -11,7 +11,10 @@
 //! * [`DeltaGraph`] — a dense edge log seeded from a [`CsrGraph`]
 //!   ([`DeltaGraph::from_csr`]) that applies batches **transactionally**:
 //!   every op in a batch is validated against a staged view before anything
-//!   mutates, so a failed batch leaves the graph untouched.
+//!   mutates, so a failed batch leaves the graph untouched. Node tokens
+//!   resolve against the seed graph's own [`LabelTable`], shared rather
+//!   than copied; a batch stages its new labels in a table of its own, and
+//!   [`DeltaGraph::to_csr`] hands the table back to the compacted graph.
 //! * [`PatchEffect`] — what a committed batch did: counts, the touched
 //!   nodes, the (post-patch) ids of changed edges, and the survivor remap
 //!   when edges were removed. This is exactly the input the incremental
@@ -49,10 +52,12 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 use crate::csr::{check_capacity, CsrBuilder, CsrGraph};
 use crate::error::{GraphError, GraphResult};
 use crate::graph::{Direction, NodeId};
+use crate::labels::LabelTable;
 
 /// One edge mutation, tagged with the 1-based input line it came from.
 #[derive(Debug, Clone, PartialEq)]
@@ -224,8 +229,9 @@ pub struct DeltaGraph {
     weights: Vec<f64>,
     /// Canonical packed endpoint pair → live edge id.
     index: HashMap<u64, u32>,
-    labels: Vec<Option<String>>,
-    label_index: HashMap<String, u32>,
+    /// The seed graph's label table, shared with every graph compacted
+    /// from this overlay until a batch adds a node.
+    labels: Arc<LabelTable>,
     patches: u64,
     ops_applied: u64,
 }
@@ -234,9 +240,28 @@ fn pair_key(source: u32, target: u32) -> u64 {
     (u64::from(source) << 32) | u64::from(target)
 }
 
+/// Refuse a new node name that an edge list could not carry back: an
+/// empty name, one padded with whitespace (the reader trims fields), or
+/// one holding a tab or a line break (field and line separators).
+fn check_new_name(token: &str, line: usize) -> GraphResult<()> {
+    let problem = if token.is_empty() {
+        "is empty"
+    } else if token.trim() != token {
+        "has leading or trailing whitespace"
+    } else if token.contains(['\t', '\r', '\n']) {
+        "contains a tab or line break"
+    } else {
+        return Ok(());
+    };
+    Err(line_error(
+        line,
+        format!("new node name {token:?} {problem}, which an edge list cannot carry"),
+    ))
+}
+
 impl DeltaGraph {
     /// Seed the overlay from a compact graph: live edges in edge-id order,
-    /// plus the label table for token resolution.
+    /// plus the graph's shared label table for token resolution.
     pub fn from_csr(graph: &CsrGraph) -> DeltaGraph {
         let edge_count = graph.edge_count();
         let mut sources = Vec::with_capacity(edge_count);
@@ -251,18 +276,6 @@ impl DeltaGraph {
             targets.push(target);
             weights.push(edge.weight);
         }
-        let mut labels: Vec<Option<String>> = graph
-            .nodes()
-            .map(|node| graph.label(node).map(str::to_string))
-            .collect();
-        if labels.iter().all(Option::is_none) {
-            labels = Vec::new();
-        }
-        let label_index = labels
-            .iter()
-            .enumerate()
-            .filter_map(|(id, label)| label.as_ref().map(|l| (l.clone(), id as u32)))
-            .collect();
         DeltaGraph {
             direction: graph.direction(),
             node_count: graph.node_count(),
@@ -270,8 +283,7 @@ impl DeltaGraph {
             targets,
             weights,
             index,
-            labels,
-            label_index,
+            labels: Arc::clone(graph.label_table()),
             patches: 0,
             ops_applied: 0,
         }
@@ -320,35 +332,37 @@ impl DeltaGraph {
 
     fn describe(&self, node: u32) -> String {
         self.labels
-            .get(node as usize)
-            .and_then(|l| l.clone())
-            .unwrap_or_else(|| node.to_string())
+            .label(node as usize)
+            .map_or_else(|| node.to_string(), str::to_string)
     }
 
     /// Resolve a node token against the staged view (validation phase).
+    /// A new label becomes node `node_count + k` for the batch's `k`-th new
+    /// label, and is staged in `staged_labels` as node `k`.
     fn resolve_staged(
         &self,
         token: &str,
         line: usize,
         allow_new: bool,
         staged_nodes: &mut usize,
-        staged_labels: &mut HashMap<String, u32>,
+        staged_labels: &mut LabelTable,
     ) -> GraphResult<u32> {
         if self.has_labels() {
-            if let Some(&id) = self.label_index.get(token) {
-                return Ok(id);
+            if let Some(id) = self.labels.get(token) {
+                return Ok(id as u32);
             }
-            if let Some(&id) = staged_labels.get(token) {
-                return Ok(id);
+            if let Some(local) = staged_labels.get(token) {
+                return Ok((self.node_count + local) as u32);
             }
             if !allow_new {
                 return Err(line_error(line, format!("unknown node `{token}`")));
             }
+            check_new_name(token, line)?;
             check_capacity("nodes", *staged_nodes as u64 + 1)?;
-            let id = *staged_nodes as u32;
-            staged_labels.insert(token.to_string(), id);
+            let id = *staged_nodes;
+            staged_labels.intern(token, id - self.node_count)?;
             *staged_nodes += 1;
-            Ok(id)
+            Ok(id as u32)
         } else {
             let id: u64 = token
                 .parse()
@@ -366,38 +380,21 @@ impl DeltaGraph {
         }
     }
 
-    /// Resolve a node token for real (commit phase) — validation has
-    /// already guaranteed success.
-    fn resolve_commit(&mut self, token: &str, allow_new: bool) -> u32 {
-        if self.has_labels() {
-            if let Some(&id) = self.label_index.get(token) {
-                return id;
-            }
-            debug_assert!(allow_new);
-            let id = self.node_count as u32;
-            self.labels.push(Some(token.to_string()));
-            self.label_index.insert(token.to_string(), id);
-            self.node_count += 1;
-            id
-        } else {
-            let id: u32 = token.parse().expect("validated node token");
-            if allow_new {
-                self.node_count = self.node_count.max(id as usize + 1);
-            }
-            id
-        }
-    }
-
     /// Apply a batch transactionally: every op is validated against a
     /// staged view first, so an `Err` leaves the overlay untouched. Errors
     /// carry the offending op's line number, except capacity overflows,
-    /// which surface as structured [`GraphError::CapacityExceeded`].
+    /// which surface as structured [`GraphError::CapacityExceeded`]. A new
+    /// node name must survive a round trip through an edge list: it may
+    /// not be empty, start or end with whitespace, or hold a tab or a line
+    /// break.
     pub fn apply(&mut self, batch: &DeltaBatch) -> GraphResult<PatchEffect> {
-        // Phase 1: validate everything against staged state.
+        // Phase 1: validate everything against staged state, resolving
+        // every op's canonical endpoints once.
         let mut staged: HashMap<u64, Staged> = HashMap::new();
         let mut staged_nodes = self.node_count;
-        let mut staged_labels: HashMap<String, u32> = HashMap::new();
+        let mut staged_labels = LabelTable::new();
         let mut staged_edge_count = self.weights.len();
+        let mut endpoints: Vec<(u32, u32)> = Vec::with_capacity(batch.len());
         for op in &batch.ops {
             let line = op.line;
             let (source, target, weight, allow_new) = match &op.kind {
@@ -433,6 +430,7 @@ impl DeltaGraph {
                 }
             }
             let (a, b) = self.canonical(source, target);
+            endpoints.push((a, b));
             let key = pair_key(a, b);
             let present = match staged.get(&key) {
                 Some(Staged::Present) => true,
@@ -485,7 +483,12 @@ impl DeltaGraph {
             }
         }
 
-        // Phase 2: commit — cannot fail.
+        // Phase 2: commit. Only the label append can fail, and it fails
+        // before anything changes.
+        if !staged_labels.is_empty() {
+            Arc::make_mut(&mut self.labels).append(&staged_labels, self.node_count)?;
+        }
+        self.node_count = staged_nodes;
         let old_edge_count = self.weights.len();
         let mut removed_flags = vec![false; old_edge_count];
         let mut any_removed = false;
@@ -493,16 +496,9 @@ impl DeltaGraph {
         let mut reweighted_ids: Vec<u32> = Vec::new();
         let mut touched: BTreeSet<NodeId> = BTreeSet::new();
         let (mut added, mut removed, mut reweighted) = (0usize, 0usize, 0usize);
-        for op in &batch.ops {
+        for (op, &(a, b)) in batch.ops.iter().zip(&endpoints) {
             match &op.kind {
-                DeltaOpKind::Add {
-                    source,
-                    target,
-                    weight,
-                } => {
-                    let source = self.resolve_commit(source, true);
-                    let target = self.resolve_commit(target, true);
-                    let (a, b) = self.canonical(source, target);
+                DeltaOpKind::Add { weight, .. } => {
                     let id = self.weights.len() as u32;
                     self.sources.push(a);
                     self.targets.push(b);
@@ -514,10 +510,7 @@ impl DeltaGraph {
                     touched.insert(a as NodeId);
                     touched.insert(b as NodeId);
                 }
-                DeltaOpKind::Remove { source, target } => {
-                    let source = self.resolve_commit(source, false);
-                    let target = self.resolve_commit(target, false);
-                    let (a, b) = self.canonical(source, target);
+                DeltaOpKind::Remove { .. } => {
                     let id = self
                         .index
                         .remove(&pair_key(a, b))
@@ -528,14 +521,7 @@ impl DeltaGraph {
                     touched.insert(a as NodeId);
                     touched.insert(b as NodeId);
                 }
-                DeltaOpKind::Reweight {
-                    source,
-                    target,
-                    weight,
-                } => {
-                    let source = self.resolve_commit(source, false);
-                    let target = self.resolve_commit(target, false);
-                    let (a, b) = self.canonical(source, target);
+                DeltaOpKind::Reweight { weight, .. } => {
                     let id = *self
                         .index
                         .get(&pair_key(a, b))
@@ -610,13 +596,10 @@ impl DeltaGraph {
     /// Compact the log back to a flat [`CsrGraph`]. Edge ids follow the
     /// log's first-occurrence order, so the result is identical (including
     /// `f64` bits of every per-node strength sum) to ingesting the patched
-    /// edge list from scratch.
+    /// edge list from scratch. The result shares this overlay's label
+    /// table: no label is copied.
     pub fn to_csr(&self) -> GraphResult<CsrGraph> {
-        let mut builder = if self.has_labels() {
-            CsrBuilder::with_labeled_nodes(self.direction, self.node_count, self.labels.clone())?
-        } else {
-            CsrBuilder::with_nodes(self.direction, self.node_count)?
-        };
+        let mut builder = CsrBuilder::with_nodes(self.direction, self.node_count)?;
         for id in 0..self.weights.len() {
             builder.add_edge(
                 self.sources[id] as NodeId,
@@ -624,7 +607,7 @@ impl DeltaGraph {
                 self.weights[id],
             )?;
         }
-        builder.finish()
+        Ok(builder.finish()?.with_label_table(Arc::clone(&self.labels)))
     }
 }
 
@@ -821,6 +804,96 @@ mod tests {
         let patched = delta.to_csr().unwrap();
         assert_eq!(patched.edge_count(), 1);
         assert_eq!(patched.edge(0).unwrap().weight, 7.0);
+    }
+
+    #[test]
+    fn new_node_names_must_survive_an_edge_list() {
+        let mut delta = DeltaGraph::from_csr(&base());
+        for (token, problem) in [
+            ("", "is empty"),
+            (" x", "has leading or trailing whitespace"),
+            ("x\u{3000}", "has leading or trailing whitespace"),
+            ("x\ty", "contains a tab or line break"),
+            ("x\ry", "contains a tab or line break"),
+            ("x\ny", "contains a tab or line break"),
+        ] {
+            let batch = DeltaBatch {
+                ops: vec![
+                    DeltaOp {
+                        line: 1,
+                        kind: DeltaOpKind::Reweight {
+                            source: "a".to_string(),
+                            target: "b".to_string(),
+                            weight: 9.0,
+                        },
+                    },
+                    DeltaOp {
+                        line: 2,
+                        kind: DeltaOpKind::Add {
+                            source: "b".to_string(),
+                            target: token.to_string(),
+                            weight: 5.0,
+                        },
+                    },
+                ],
+            };
+            let err = delta.apply(&batch).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("line 2: new node name {token:?} {problem}")),
+                "{token:?}: {err}"
+            );
+        }
+        // Nothing was applied, and a name with an inner space is accepted.
+        assert_eq!(delta.patches(), 0);
+        assert_eq!(delta.to_csr().unwrap(), base());
+        let spaced = DeltaBatch {
+            ops: vec![DeltaOp {
+                line: 1,
+                kind: DeltaOpKind::Add {
+                    source: "x y".to_string(),
+                    target: "a".to_string(),
+                    weight: 1.0,
+                },
+            }],
+        };
+        delta.apply(&spaced).unwrap();
+        assert_eq!(delta.to_csr().unwrap().label(4), Some("x y"));
+    }
+
+    #[test]
+    fn compaction_shares_the_label_table_until_a_batch_adds_a_node() {
+        let graph = base();
+        let mut delta = DeltaGraph::from_csr(&graph);
+        assert!(Arc::ptr_eq(&delta.labels, graph.label_table()));
+
+        // Structural, but over existing nodes: the compacted graph shares
+        // the published table.
+        delta
+            .apply(&DeltaBatch::parse_tsv("remove b c\nadd a c 2\n").unwrap())
+            .unwrap();
+        let compacted = delta.to_csr().unwrap();
+        assert!(Arc::ptr_eq(compacted.label_table(), graph.label_table()));
+
+        // A new node copies the table once; the next generation shares it.
+        delta
+            .apply(&DeltaBatch::parse_tsv("add c 17 1\nadd 17 e 2\n").unwrap())
+            .unwrap();
+        let grown = delta.to_csr().unwrap();
+        assert!(!Arc::ptr_eq(grown.label_table(), graph.label_table()));
+        assert_eq!(grown.node_by_label("17"), Some(4));
+        assert_eq!(grown.node_by_label("e"), Some(5));
+        assert_eq!(
+            graph.node_by_label("17"),
+            None,
+            "the published graph is untouched"
+        );
+        delta
+            .apply(&DeltaBatch::parse_tsv("reweight 17 e 3\n").unwrap())
+            .unwrap();
+        assert!(Arc::ptr_eq(
+            delta.to_csr().unwrap().label_table(),
+            grown.label_table()
+        ));
     }
 
     #[test]

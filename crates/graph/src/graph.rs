@@ -3,6 +3,7 @@
 use std::collections::HashMap;
 
 use crate::error::{GraphError, GraphResult};
+use crate::labels::LabelTable;
 
 /// Node identifier: a dense index in `0..node_count()`.
 pub type NodeId = usize;
@@ -72,14 +73,13 @@ impl ExactSizeIterator for InNeighbors<'_> {}
 /// lookup.
 ///
 /// Nodes are dense indices; an optional string label can be attached to each
-/// node (country codes, occupation titles, ...). For undirected graphs each
-/// edge is stored once with its endpoints in canonical (smaller, larger)
-/// order, and adjacency lists are symmetric.
+/// node (country codes, occupation titles, ...), kept in a [`LabelTable`].
+/// For undirected graphs each edge is stored once with its endpoints in
+/// canonical (smaller, larger) order, and adjacency lists are symmetric.
 #[derive(Debug, Clone)]
 pub struct WeightedGraph {
     direction: Direction,
-    labels: Vec<Option<String>>,
-    label_index: HashMap<String, NodeId>,
+    labels: LabelTable,
     edges: Vec<Edge>,
     /// For each node, the list of (neighbor, edge index) pairs for outgoing
     /// edges (or all incident edges in the undirected case).
@@ -95,8 +95,7 @@ impl WeightedGraph {
     pub fn new(direction: Direction) -> Self {
         WeightedGraph {
             direction,
-            labels: Vec::new(),
-            label_index: HashMap::new(),
+            labels: LabelTable::new(),
             edges: Vec::new(),
             out_adjacency: Vec::new(),
             in_adjacency: Vec::new(),
@@ -123,6 +122,22 @@ impl WeightedGraph {
         graph
     }
 
+    /// An edgeless graph on `node_count` nodes labelled by `labels`.
+    pub(crate) fn with_label_table(
+        direction: Direction,
+        node_count: usize,
+        labels: LabelTable,
+    ) -> Self {
+        let mut graph = Self::with_nodes(direction, node_count);
+        graph.labels = labels;
+        graph
+    }
+
+    /// The graph's label table.
+    pub(crate) fn label_table(&self) -> &LabelTable {
+        &self.labels
+    }
+
     /// The graph's direction semantics.
     pub fn direction(&self) -> Direction {
         self.direction
@@ -135,7 +150,7 @@ impl WeightedGraph {
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.labels.len()
+        self.out_adjacency.len()
     }
 
     /// Number of stored edges (each undirected edge counts once).
@@ -150,8 +165,7 @@ impl WeightedGraph {
 
     /// Add an unlabeled node and return its id.
     pub fn add_node(&mut self) -> NodeId {
-        let id = self.labels.len();
-        self.labels.push(None);
+        let id = self.out_adjacency.len();
         self.out_adjacency.push(Vec::new());
         self.in_adjacency.push(Vec::new());
         id
@@ -159,40 +173,50 @@ impl WeightedGraph {
 
     /// Add a labeled node and return its id.
     ///
-    /// Returns an error if the label already exists.
+    /// Returns an error if the label already exists, or if the label table
+    /// is full (see [`LabelTable`]).
     pub fn add_labeled_node(&mut self, label: impl Into<String>) -> GraphResult<NodeId> {
         let label = label.into();
-        if self.label_index.contains_key(&label) {
+        if self.labels.get(&label).is_some() {
             return Err(GraphError::InvalidParameter {
                 parameter: "label",
                 message: format!("label `{label}` already exists"),
             });
         }
-        let id = self.add_node();
-        self.labels[id] = Some(label.clone());
-        self.label_index.insert(label, id);
-        Ok(id)
+        self.intern_node(&label)
     }
 
     /// Return the node with the given label, creating it if necessary.
+    ///
+    /// # Panics
+    ///
+    /// If the label table is full: past `u32::MAX` labelled nodes or
+    /// [`LABEL_BYTES_LIMIT`](crate::labels::LABEL_BYTES_LIMIT) label bytes.
+    /// The edge-list readers report that as an error instead.
     pub fn ensure_node(&mut self, label: &str) -> NodeId {
-        if let Some(&id) = self.label_index.get(label) {
-            return id;
+        self.intern_node(label)
+            .expect("label table capacity exceeded")
+    }
+
+    /// [`WeightedGraph::ensure_node`], returning a full label table as an
+    /// error.
+    pub(crate) fn intern_node(&mut self, label: &str) -> GraphResult<NodeId> {
+        let next = self.node_count();
+        let id = self.labels.intern(label, next)?;
+        if id == next {
+            self.add_node();
         }
-        let id = self.add_node();
-        self.labels[id] = Some(label.to_string());
-        self.label_index.insert(label.to_string(), id);
-        id
+        Ok(id)
     }
 
     /// The label of a node, if it has one.
     pub fn label(&self, node: NodeId) -> Option<&str> {
-        self.labels.get(node).and_then(|l| l.as_deref())
+        self.labels.label(node)
     }
 
     /// Look up a node by label.
     pub fn node_by_label(&self, label: &str) -> Option<NodeId> {
-        self.label_index.get(label).copied()
+        self.labels.get(label)
     }
 
     fn check_node(&self, node: NodeId) -> GraphResult<()> {
@@ -422,17 +446,8 @@ impl WeightedGraph {
     /// Build a new graph with the same node set (and labels) containing only
     /// the edges whose dense indices are listed in `edge_indices`.
     pub fn subgraph_with_edges(&self, edge_indices: &[usize]) -> GraphResult<WeightedGraph> {
-        let mut subgraph = WeightedGraph::new(self.direction);
-        for node in self.nodes() {
-            match self.label(node) {
-                Some(label) => {
-                    subgraph.add_labeled_node(label.to_string())?;
-                }
-                None => {
-                    subgraph.add_node();
-                }
-            }
-        }
+        let mut subgraph =
+            WeightedGraph::with_label_table(self.direction, self.node_count(), self.labels.clone());
         for &index in edge_indices {
             let edge = self.edges.get(index).ok_or(GraphError::InvalidParameter {
                 parameter: "edge_indices",
@@ -465,8 +480,8 @@ impl WeightedGraph {
     ) -> GraphResult<WeightedGraph> {
         let mut graph = WeightedGraph::new(direction);
         for (source, target, weight) in triples {
-            let source = graph.ensure_node(source.as_ref());
-            let target = graph.ensure_node(target.as_ref());
+            let source = graph.intern_node(source.as_ref())?;
+            let target = graph.intern_node(target.as_ref())?;
             graph.add_edge(source, target, weight)?;
         }
         Ok(graph)

@@ -211,8 +211,8 @@ pub fn read_edge_list_named<R: BufRead>(
 ) -> GraphResult<WeightedGraph> {
     let mut graph = WeightedGraph::new(options.direction);
     parse_edge_lines(reader, options, source_name, |source, target, weight| {
-        let source = graph.ensure_node(source);
-        let target = graph.ensure_node(target);
+        let source = graph.intern_node(source)?;
+        let target = graph.intern_node(target)?;
         graph.add_edge(source, target, weight).map(|_| ())
     })?;
     Ok(graph)

@@ -18,6 +18,9 @@
 //! * [`GraphView`] — the read-only trait both implement, over which the
 //!   scoring pipeline is generic (bit-identical results on either
 //!   representation).
+//! * [`LabelTable`] — the one node-label interner both representations, the
+//!   streaming builder and the PATCH overlay share: label bytes in one
+//!   arena, decimal labels indexed directly, the rest through SipHash.
 //! * Graph [`generators`] — Barabási–Albert, Erdős–Rényi, stochastic block
 //!   model and small deterministic topologies, used by the synthetic
 //!   experiments (Figure 4) and the test suites.
@@ -39,6 +42,7 @@ pub mod error;
 pub mod generators;
 pub mod graph;
 pub mod io;
+pub mod labels;
 pub mod matrix;
 pub mod view;
 
@@ -47,4 +51,5 @@ pub use csr::{CsrBuilder, CsrGraph};
 pub use delta::{DeltaBatch, DeltaGraph, DeltaOp, DeltaOpKind, PatchEffect};
 pub use error::{GraphError, GraphResult};
 pub use graph::{Direction, Edge, EdgeRef, InNeighbors, NodeId, WeightedGraph};
+pub use labels::LabelTable;
 pub use view::GraphView;

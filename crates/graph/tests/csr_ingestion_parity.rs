@@ -6,9 +6,15 @@
 //!   and neither may panic on arbitrary bytes;
 //! * every way of feeding [`CsrBuilder`] duplicate-heavy edges must equal the
 //!   adjacency-map oracle bit for bit (its `f64` weights compared exactly);
+//! * both readers must intern labels exactly like an independent
+//!   first-appearance `HashMap` oracle, whichever route of the label table
+//!   a label takes (decimal or hashed, before or after the decimal bound
+//!   grows);
 //! * union-find connectivity (the engine behind `algorithms::components` and
 //!   the comparison report) must match an independent BFS reference, on both
 //!   the adjacency graph and its CSR image.
+
+use std::collections::HashMap;
 
 use proptest::prelude::*;
 
@@ -141,6 +147,104 @@ fn fuzzed_input() -> impl Strategy<Value = (Vec<u8>, EdgeListOptions)> {
             };
             (bytes, options)
         })
+}
+
+/// Interning tokens: canonical decimals (`3000` lies past the decimal bound
+/// of a short input but not of a long one), non-canonical decimals,
+/// decimals past any bound, and non-ASCII names (one of them an Arabic-Indic
+/// digit).
+const INTERN_TOKENS: [&str; 16] = [
+    "0",
+    "1",
+    "7",
+    "42",
+    "1023",
+    "3000",
+    "007",
+    "+5",
+    "-0",
+    "5.0",
+    "00",
+    "999999999",
+    "4294967296",
+    "\u{fc}ber",
+    "\u{6771}\u{4eac}",
+    "\u{663}",
+];
+
+/// Filler lines `v v+1 1` for `v` in `0..1500`: they grow the decimal bound
+/// past every canonical token above.
+const FILLER_LINES: usize = 1500;
+
+/// Strategy: up to 40 lines over the interning tokens, with the filler
+/// lines absent, first, or in the middle (so a token can be interned
+/// before the bound grows and looked up after), read in either direction.
+fn interning_input() -> impl Strategy<Value = (String, Direction)> {
+    (
+        proptest::collection::vec((0usize..16, 0usize..16, 0usize..4), 0..40),
+        0usize..3,
+        0usize..2,
+    )
+        .prop_map(|(lines, filler, directed)| {
+            let filler_at = match filler {
+                0 => usize::MAX,
+                1 => 0,
+                _ => lines.len() / 2,
+            };
+            let mut text = String::new();
+            for (index, (a, b, weight)) in lines.iter().enumerate() {
+                if index == filler_at {
+                    for v in 0..FILLER_LINES {
+                        text.push_str(&format!("{v} {} 1\n", v + 1));
+                    }
+                }
+                let weight = ["1", "2.5", "0.125", "3"][*weight];
+                text.push_str(&format!(
+                    "{} {} {weight}\n",
+                    INTERN_TOKENS[*a], INTERN_TOKENS[*b]
+                ));
+            }
+            let direction = if directed == 0 {
+                Direction::Directed
+            } else {
+                Direction::Undirected
+            };
+            (text, direction)
+        })
+}
+
+/// Independent interning reference: node ids by first appearance in a
+/// `HashMap<String, usize>`, edges by first occurrence of their canonical
+/// endpoint pair, a repeated edge's weight added left to right.
+#[allow(clippy::type_complexity)]
+fn interning_oracle(text: &str, direction: Direction) -> (Vec<String>, Vec<(usize, usize, f64)>) {
+    let mut ids: HashMap<String, usize> = HashMap::new();
+    let mut labels: Vec<String> = Vec::new();
+    let mut edges: Vec<(usize, usize, f64)> = Vec::new();
+    let mut edge_ids: HashMap<(usize, usize), usize> = HashMap::new();
+    for line in text.lines() {
+        let fields: Vec<&str> = line.split_whitespace().collect();
+        let mut id_of = |label: &str| {
+            *ids.entry(label.to_string()).or_insert_with(|| {
+                labels.push(label.to_string());
+                labels.len() - 1
+            })
+        };
+        let (source, target) = (id_of(fields[0]), id_of(fields[1]));
+        let weight: f64 = fields[2].parse().unwrap();
+        let pair = match direction {
+            Direction::Directed => (source, target),
+            Direction::Undirected => (source.min(target), source.max(target)),
+        };
+        match edge_ids.get(&pair) {
+            Some(&edge) => edges[edge].2 += weight,
+            None => {
+                edge_ids.insert(pair, edges.len());
+                edges.push((pair.0, pair.1, weight));
+            }
+        }
+    }
+    (labels, edges)
 }
 
 /// Strategy: duplicate-heavy `(source, target, weight)` triples on 1–64
@@ -316,6 +420,40 @@ proptest! {
         let csr = CsrGraph::from_graph(&graph).unwrap();
         prop_assert_eq!(component_count(&csr), bfs_components);
         prop_assert_eq!(largest_component_size(&csr), bfs_largest);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Both readers number nodes by first appearance and resolve every
+    /// label to one node, on the decimal route and the hashed one alike.
+    #[test]
+    fn readers_intern_labels_like_a_first_appearance_oracle(
+        (text, direction) in interning_input()
+    ) {
+        let (labels, edges) = interning_oracle(&text, direction);
+        let options = EdgeListOptions::with_direction(direction);
+        let adjacency = read_edge_list_named(text.as_bytes(), &options, "<intern>").unwrap();
+        let streamed = read_edge_list_csr_named(text.as_bytes(), &options, "<intern>").unwrap();
+        for (id, label) in labels.iter().enumerate() {
+            prop_assert_eq!((label, adjacency.node_by_label(label)), (label, Some(id)));
+            prop_assert_eq!((label, streamed.node_by_label(label)), (label, Some(id)));
+        }
+        for graph in [&CsrGraph::from_graph(&adjacency).unwrap(), &streamed] {
+            prop_assert_eq!(graph.node_count(), labels.len());
+            for (id, label) in labels.iter().enumerate() {
+                prop_assert_eq!(graph.label(id), Some(label.as_str()));
+            }
+            let got: Vec<(usize, usize, f64)> = graph
+                .edges()
+                .map(|edge| (edge.source, edge.target, edge.weight))
+                .collect();
+            prop_assert_eq!(&got, &edges);
+        }
+        for label in ["1502", "3001", "0007", "\u{fc}", "n0"] {
+            prop_assert_eq!(streamed.node_by_label(label), None);
+        }
     }
 }
 

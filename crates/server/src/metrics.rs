@@ -23,7 +23,7 @@
 //!
 //! | name | labels | kind |
 //! |---|---|---|
-//! | `graph_memory_bytes` | — | gauge (CSR arrays, `CsrGraph::memory_bytes`) |
+//! | `graph_memory_bytes` | — | gauge (CSR arrays and label table, `CsrGraph::memory_bytes`) |
 //! | `score_cache_bytes` | — | gauge (cached score sets, `ScoredEdges::memory_bytes`) |
 //!
 //! Requests are recorded **before** their response bytes are written, so a

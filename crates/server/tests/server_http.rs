@@ -960,6 +960,76 @@ fn patch_route_rejects_bad_deltas() {
     server.shutdown();
 }
 
+/// A PATCH may not create a node name that the served edge list cannot
+/// carry: an empty name, one padded with whitespace, or one holding a tab
+/// or a line break. The whole batch is refused with a 400 naming the op,
+/// and the generation and the served bytes stay as they were.
+#[test]
+fn patch_route_refuses_node_names_an_edge_list_cannot_carry() {
+    let server = trade_server(1);
+    let (status, _) = post(
+        &server,
+        "/graphs/names?direction=undirected",
+        "a b 5\nb c 4\n",
+    );
+    assert_eq!(status, 201);
+    let query = "/graphs/names/backbone?method=naive&top_k=5";
+    let (status, before) = get(&server, query);
+    assert_eq!(status, 200);
+
+    for (source, problem) in [
+        (r#""""#, "is empty"),
+        (r#""x\ty""#, "contains a tab or line break"),
+        (r#""x\ny""#, "contains a tab or line break"),
+        (r#"" x""#, "has leading or trailing whitespace"),
+        (r#""x ""#, "has leading or trailing whitespace"),
+    ] {
+        let body = format!(
+            r#"{{"ops": [{{"op": "add", "source": {source}, "target": "b", "weight": 5}}]}}"#
+        );
+        let (status, response) = patch(&server, "/graphs/names", &body, Some("application/json"));
+        let error = text(&response);
+        assert_eq!(status, 400, "{source}: {error}");
+        assert!(error.contains("line 1: new node name"), "{source}: {error}");
+        assert!(error.contains(problem), "{source}: {error}");
+    }
+    // A valid op ahead of the bad one is not applied either.
+    let mixed = r#"{"ops": [
+        {"op": "reweight", "source": "a", "target": "b", "weight": 9},
+        {"op": "add", "source": "c", "target": "", "weight": 1}
+    ]}"#;
+    let (status, response) = patch(&server, "/graphs/names", mixed, Some("application/json"));
+    assert_eq!(status, 400, "{}", text(&response));
+    assert!(
+        text(&response).contains("line 2: new node name"),
+        "{}",
+        text(&response)
+    );
+
+    let (_, info) = get(&server, "/graphs/names");
+    assert!(text(&info).contains("\"generation\": 0"), "{}", text(&info));
+    let (status, after) = get(&server, query);
+    assert_eq!(status, 200);
+    assert_eq!(
+        after, before,
+        "a refused batch leaves the served bytes unchanged"
+    );
+
+    // Existing names still resolve, and a name with an inner space is new
+    // but valid.
+    let good = r#"{"ops": [{"op": "add", "source": "x y", "target": "c", "weight": 2}]}"#;
+    let (status, response) = patch(&server, "/graphs/names", good, Some("application/json"));
+    assert_eq!(status, 200, "{}", text(&response));
+    assert!(
+        text(&response).contains("\"generation\": 1"),
+        "{}",
+        text(&response)
+    );
+    let (_, after) = get(&server, query);
+    assert!(text(&after).contains("c\tx y\t2"), "{}", text(&after));
+    server.shutdown();
+}
+
 /// The clean-shutdown control path: POST /shutdown answers, the server
 /// drains, `wait` returns, and the port stops accepting.
 #[test]
