@@ -189,7 +189,12 @@ curl -sf "${SERVE_URL}/health" | grep -q '"cache": { "scored": { "hits": '
 PATCH_TSV=$(mktemp --suffix .tsv)
 PATCH_DELTA=$(mktemp --suffix .tsv)
 PATCH_OUT=$(mktemp --suffix .tsv)
-cleanup_patch() { rm -f "$PATCH_TSV" "$PATCH_DELTA" "$PATCH_OUT"; cleanup_server; }
+PATCH_SERVED=$(mktemp --suffix .tsv)
+PATCH_ONESHOT=$(mktemp --suffix .tsv)
+cleanup_patch() {
+    rm -f "$PATCH_TSV" "$PATCH_DELTA" "$PATCH_OUT" "$PATCH_SERVED" "$PATCH_ONESHOT"
+    cleanup_server
+}
 trap cleanup_patch EXIT
 ./target/release/backbone gen 'ba:n=500,m=3,w=powerlaw(2.5),noise=0.1,seed=4242' > "$PATCH_TSV"
 curl -sf -X POST --data-binary @"$PATCH_TSV" "${SERVE_URL}/graphs/patch-smoke" \
@@ -200,13 +205,27 @@ PATCH_RESP=$(curl -sf -X PATCH --data-binary @"$PATCH_DELTA" "${SERVE_URL}/graph
 echo "$PATCH_RESP" | grep -q '"generation": 1'
 echo "$PATCH_RESP" | grep -q '"applied": { "added": 1, "removed": 1, "reweighted": 1 }'
 echo "$PATCH_RESP" | grep -q '"rescored_methods": \["nc"\]'
+./target/release/backbone patch "$PATCH_DELTA" "$PATCH_TSV" --undirected > "$PATCH_OUT"
+# The PATCH rescores nc without ranking it. The first rank-based read
+# below builds the patched scores' rank order; every later read, the
+# second of each pair included, is a prefix of it. Each read must be the
+# bytes of a one-shot CLI run (keyed selection) on the patched file.
+for PATCH_POLICY in top_k=40 top_share=0.2 coverage=0.5; do
+    PATCH_FLAG="--$(echo "${PATCH_POLICY%%=*}" | tr _ -)"
+    ./target/release/backbone --method nc "$PATCH_FLAG" "${PATCH_POLICY#*=}" --undirected \
+        "$PATCH_OUT" > "$PATCH_ONESHOT"
+    for _ in 1 2; do
+        curl -sf "${SERVE_URL}/graphs/patch-smoke/backbone?method=nc&${PATCH_POLICY}" \
+            > "$PATCH_SERVED"
+        cmp "$PATCH_SERVED" "$PATCH_ONESHOT"
+    done
+done
 PATCH_AFTER=$(curl -sf "${SERVE_URL}/graphs/patch-smoke/backbone?method=nc&top_share=0.1")
 [ "$PATCH_BEFORE" != "$PATCH_AFTER" ]
-./target/release/backbone patch "$PATCH_DELTA" "$PATCH_TSV" --undirected > "$PATCH_OUT"
 PATCH_FRESH=$(./target/release/backbone --method nc --top-share 0.1 --undirected "$PATCH_OUT")
 [ "$PATCH_AFTER" = "$PATCH_FRESH" ]
 curl -sf -X DELETE "${SERVE_URL}/graphs/patch-smoke" >/dev/null
-rm -f "$PATCH_TSV" "$PATCH_DELTA" "$PATCH_OUT"
+rm -f "$PATCH_TSV" "$PATCH_DELTA" "$PATCH_OUT" "$PATCH_SERVED" "$PATCH_ONESHOT"
 trap cleanup_server EXIT
 
 # Churn soak: race concurrent PATCH writers against backbone readers and

@@ -210,6 +210,23 @@ fn overflowing_weight_sums_fail_with_exit_1() {
 }
 
 #[test]
+fn underflowing_nc_strengths_fail_with_exit_1() {
+    for weight in ["1e-200", "1e-100"] {
+        let output = run_with_stdin(
+            &["--method", "nc", "--top-k", "1", "-o", "scores"],
+            Some(&format!("a b {weight}\nc d 5\n")),
+        );
+        assert_eq!(output.status.code(), Some(1), "{weight}");
+        assert!(output.stdout.is_empty(), "{weight}");
+        let err = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            err.contains("noise_corrected cannot process this graph: node strengths"),
+            "{weight}: `{err}`"
+        );
+    }
+}
+
+#[test]
 fn missing_file_fails_with_named_path_and_exit_1() {
     let output = run_with_stdin(
         &["--method", "nc", "--top-k", "2", "/no/such/file.tsv"],

@@ -106,7 +106,14 @@ impl NoiseCorrected {
         let derivative = 2.0 * (kappa + weight * d_kappa) / (lift_term + 1.0).powi(2);
         let lift_variance = weight_variance * derivative * derivative;
 
-        (transformed_lift, lift_variance.max(0.0).sqrt())
+        // A NaN variance (an underflowed strength product) stays NaN, so the
+        // caller refuses the edge instead of reading a zero deviation.
+        let std_dev = if lift_variance.is_nan() {
+            f64::NAN
+        } else {
+            lift_variance.max(0.0).sqrt()
+        };
+        (transformed_lift, std_dev)
     }
 
     /// Score every edge with an explicit worker count (`0` = automatic,
@@ -116,7 +123,11 @@ impl NoiseCorrected {
     ///
     /// Errors with [`BackboneError::UnsupportedGraph`] when a node strength
     /// or the network total overflows `f64`: `κ = N̂.. / (N̂i. N̂.j)` would be
-    /// `∞/∞` and every score would silently come out as zero.
+    /// `∞/∞` and every score would silently come out as zero. Errors the
+    /// same way when an edge's lift or standard deviation is not finite:
+    /// for strengths so small that `N̂i. N̂.j` or its square underflows, `κ`
+    /// or its derivative divides by zero and the edge would be written with
+    /// a `NaN` lift or an infinite standard deviation.
     pub fn score_with_threads<G: GraphView>(
         &self,
         graph: &G,
@@ -134,12 +145,22 @@ impl NoiseCorrected {
                 // The NC score formula is symmetric in (out-strength of the source,
                 // in-strength of the target); for undirected graphs both directions
                 // give the same value, so a single evaluation suffices.
-                let (transformed_lift, std_dev) = self.score_edge(
-                    edge.weight,
+                let (out_strength, in_strength) = (
                     totals.out_strength[edge.source],
                     totals.in_strength[edge.target],
-                    totals.total,
                 );
+                let (transformed_lift, std_dev) =
+                    self.score_edge(edge.weight, out_strength, in_strength, totals.total);
+                if !(transformed_lift.is_finite() && std_dev.is_finite()) {
+                    return Err(BackboneError::UnsupportedGraph {
+                        method: name,
+                        message: format!(
+                            "node strengths {out_strength:e} and {in_strength:e} are too small \
+                             for f64: their edge's lift comes out {transformed_lift} with \
+                             standard deviation {std_dev}"
+                        ),
+                    });
+                }
                 let score = if std_dev > 0.0 {
                     transformed_lift / std_dev
                 } else if transformed_lift > 0.0 {

@@ -243,6 +243,15 @@ impl Pipeline {
     /// The `backboning_server` scored-graph cache serves every threshold
     /// query after the first through this path.
     ///
+    /// Because the scores are reused, a `TopK`, `TopShare` or `Coverage`
+    /// run here builds their [`ScoredEdges::ranked`] order (one keyed sort,
+    /// 4 bytes per edge) unless it exists: this run and every later one of
+    /// those policies over the same scores read a prefix of it instead of
+    /// selecting again. `Score` runs and the parameter-free methods (MST,
+    /// DS), which do not rank, never build it. [`Pipeline::run`] reads its
+    /// scores once, so its `TopK` and `TopShare` runs select without the
+    /// order; `Coverage` walks the full order on either path.
+    ///
     /// The scores must actually belong to this pipeline's method and to
     /// `graph` (same node and edge counts); mismatches — scores produced by
     /// another method, or for another graph — are rejected instead of
@@ -277,10 +286,17 @@ impl Pipeline {
         self.assemble(graph, scored, Instant::now(), None)
     }
 
+    /// Whether [`Pipeline::select`] reads the scores in ranking order: a
+    /// size-targeting policy on a method without a fixed edge set.
+    fn ranks(&self) -> bool {
+        !matches!(self.policy, ThresholdPolicy::Score(_)) && !self.method.is_parameter_free()
+    }
+
     /// Select, count the covered nodes, and package the run statistics. `start`
     /// is when the caller's measured work began (before scoring for `run`,
     /// after it for `run_with_scores`); `score` is the already-measured
-    /// scoring time, `None` when the scores were supplied by the caller.
+    /// scoring time, `None` when the scores were supplied by the caller —
+    /// the reused scores whose rank order is worth keeping.
     fn assemble<G: GraphView>(
         &self,
         graph: &G,
@@ -289,6 +305,9 @@ impl Pipeline {
         score: Option<Duration>,
     ) -> BackboneResult<PipelineRun> {
         let select_start = Instant::now();
+        if score.is_none() && self.ranks() {
+            scored.ranked();
+        }
         let kept = self.select(graph, &scored)?;
         let select = select_start.elapsed();
         let build_start = Instant::now();
@@ -361,7 +380,8 @@ pub struct StageTimings {
 }
 
 /// The smallest score-ranked prefix of edges whose node coverage reaches
-/// `target`, in ranking order.
+/// `target`, in ranking order. It walks the full [`ScoredEdges::ranked`]
+/// order, building it if it does not exist yet.
 fn coverage_prefix<G: GraphView>(
     graph: &G,
     scored: &ScoredEdges,
@@ -377,11 +397,11 @@ fn coverage_prefix<G: GraphView>(
     if target == 0.0 || original_connected == 0 {
         return Ok(Vec::new());
     }
-    let order = scored.top_k(scored.len());
     let mut covered = vec![false; graph.node_count()];
     let mut covered_count = 0usize;
     let mut kept = Vec::new();
-    for edge_index in order {
+    for &edge_index in scored.ranked() {
+        let edge_index = edge_index as usize;
         let edge = graph.edge(edge_index).expect("scored edge index in range");
         kept.push(edge_index);
         for node in [edge.source, edge.target] {

@@ -28,13 +28,29 @@
 //! rows by value, built from the columns; `get` is O(1). Exact bytes per
 //! edge ([`ScoredEdges::memory_bytes`]):
 //!
-//! | Method | optional columns | bytes per edge |
-//! |---|---|---|
-//! | Noise-Corrected (both prior variants) | raw score, standard deviation | 40 |
-//! | NC binomial variant, Disparity Filter | p-value | 32 |
-//! | HSS, sampled HSS, Doubly Stochastic, MST, Naive | — | 24 |
+//! | Method | optional columns | bytes per edge | once ranked |
+//! |---|---|---|---|
+//! | Noise-Corrected (both prior variants) | raw score, standard deviation | 40 | 44 |
+//! | NC binomial variant, Disparity Filter | p-value | 32 | 36 |
+//! | HSS, sampled HSS, Doubly Stochastic, MST, Naive | — | 24 | 28 |
+//!
+//! "Once ranked" is a set whose [`ScoredEdges::ranked`] order has been
+//! built: 4 more bytes per edge, one `u32` edge id each.
+//!
+//! # Ranking
+//!
+//! [`ScoredEdges::top_k`], [`ScoredEdges::top_share`] and the pipeline's
+//! coverage policy all rank edges by one rule: descending score, then
+//! descending weight, then ascending edge id. Each edge maps to the integer
+//! key `(desc_key(score), desc_key(weight), id)`, where `desc_key` turns a
+//! float's bits into a `u64` whose ascending order is the float's
+//! descending order; −0.0 folds into +0.0, and a NaN maps past every
+//! number. A one-shot run selects on these keys; a score set that is read
+//! again keeps the full order ([`ScoredEdges::ranked`]) and answers every
+//! later read with a prefix of it.
 
 use std::ops::Range;
+use std::sync::OnceLock;
 
 use backboning_graph::csr::CSR_INDEX_LIMIT;
 use backboning_graph::{CsrGraph, EdgeRef, GraphError, GraphView, NodeId, WeightedGraph};
@@ -111,6 +127,9 @@ pub(crate) enum Column {
 /// is an O(1) index, and [`ScoredEdges::iter`] yields [`ScoredEdge`] rows by
 /// value in edge-id order. Every scorer fills the columns in one pass over
 /// the edge ids, copying endpoints and weights from the graph.
+///
+/// The set's value is its columns: the rank order [`ScoredEdges::ranked`]
+/// may cache is ignored by `==`, and a clone starts without it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScoredEdges {
     method: &'static str,
@@ -122,6 +141,49 @@ pub struct ScoredEdges {
     raw_scores: Option<Vec<f64>>,
     std_devs: Option<Vec<f64>>,
     p_values: Option<Vec<f64>>,
+    ranked: RankOrder,
+}
+
+/// The cached full ranking order of a [`ScoredEdges`] set, built on the
+/// first [`ScoredEdges::ranked`] call. It is derived from the columns, so it
+/// is no part of the set's value: every two orders compare equal, and a
+/// clone starts empty (a carried or patched copy must not keep a stale one).
+#[derive(Debug, Default)]
+struct RankOrder(OnceLock<Box<[u32]>>);
+
+impl Clone for RankOrder {
+    fn clone(&self) -> Self {
+        RankOrder::default()
+    }
+}
+
+impl PartialEq for RankOrder {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+/// An edge's place in a ranking being sorted: a [`desc_key`] and the edge
+/// id. Sorting these 16-byte pairs, then re-sorting each run of tied scores
+/// by weight ([`ScoredEdges::sort_keys`]), gives the order of the full
+/// `(score, weight, id)` key without a 24-byte tuple per edge.
+type RankKey = (u64, u32);
+
+/// The key whose ascending order is `value`'s descending order: −0.0 and
+/// +0.0 map to one key, and every NaN maps to `u64::MAX`, past every number.
+fn desc_key(value: f64) -> u64 {
+    if value.is_nan() {
+        return u64::MAX;
+    }
+    let bits = if value == 0.0 { 0 } else { value.to_bits() };
+    // As unsigned integers, positive floats ascend with their bits and
+    // negative ones descend. Clearing a positive float's sign bit after
+    // inverting it puts it below every negative one, largest first.
+    if bits >> 63 == 1 {
+        bits
+    } else {
+        !bits & (u64::MAX >> 1)
+    }
 }
 
 /// One worker's edge-id range of the columns [`ScoredEdges::score_edges`]
@@ -196,6 +258,15 @@ impl ScoredEdges {
             .into());
         }
         let edge_count = graph.edge_count();
+        if edge_count as u64 > CSR_INDEX_LIMIT {
+            // A rank order stores edge ids as `u32`.
+            return Err(GraphError::CapacityExceeded {
+                what: "edges",
+                requested: edge_count as u64,
+                limit: CSR_INDEX_LIMIT,
+            }
+            .into());
+        }
         let mut sources = vec![0u32; edge_count];
         let mut targets = vec![0u32; edge_count];
         let mut weights = vec![0.0; edge_count];
@@ -240,6 +311,7 @@ impl ScoredEdges {
             raw_scores: None,
             std_devs: None,
             p_values: None,
+            ranked: RankOrder::default(),
         };
         for (column, values) in columns.into_iter().zip(values) {
             *scored.optional_mut(column) = Some(values);
@@ -259,13 +331,15 @@ impl ScoredEdges {
     /// then its score and its values for `columns` (the incremental
     /// rescore's write path; `columns` are the layout the set was scored
     /// with, and `edge` is an edge of a [`CsrGraph`], so its node ids fit
-    /// the `u32` columns).
+    /// the `u32` columns). Drops the rank order, which the new row may
+    /// invalidate.
     pub(crate) fn set_row<const N: usize>(
         &mut self,
         edge: EdgeRef,
         columns: [Column; N],
         (score, values): (f64, [f64; N]),
     ) {
+        self.ranked = RankOrder::default();
         let id = edge.index;
         self.sources[id] = edge.source as u32;
         self.targets[id] = edge.target as u32;
@@ -314,6 +388,7 @@ impl ScoredEdges {
                     raw_scores: keep_optional(&self.raw_scores),
                     std_devs: keep_optional(&self.std_devs),
                     p_values: keep_optional(&self.p_values),
+                    ranked: RankOrder::default(),
                 }
             }
         };
@@ -358,11 +433,16 @@ impl ScoredEdges {
         self.scores.is_empty()
     }
 
-    /// Exact bytes held by the columns (see the [module docs](self) for
-    /// the bytes per edge of each method); like
-    /// [`CsrGraph::memory_bytes`], it counts column
-    /// lengths, not spare capacity.
+    /// Exact bytes held by the columns and, once built, the rank order
+    /// (see the [module docs](self) for the bytes per edge of each method);
+    /// like [`CsrGraph::memory_bytes`], it counts column lengths, not spare
+    /// capacity.
     pub fn memory_bytes(&self) -> usize {
+        let ranked = self
+            .ranked
+            .0
+            .get()
+            .map_or(0, |order| order.len() * size_of::<u32>());
         let optional = [&self.raw_scores, &self.std_devs, &self.p_values]
             .into_iter()
             .flatten()
@@ -373,6 +453,7 @@ impl ScoredEdges {
             + self.weights.len() * size_of::<f64>()
             + self.scores.len() * size_of::<f64>()
             + optional
+            + ranked
     }
 
     /// The row of edge id `i` (which must be below [`ScoredEdges::len`]).
@@ -420,59 +501,114 @@ impl ScoredEdges {
             .collect()
     }
 
-    /// The ranking order: descending score, ties broken by descending weight,
-    /// then by ascending edge index for determinism.
-    fn rank_order(&self, a: usize, b: usize) -> std::cmp::Ordering {
-        self.scores[b]
-            .partial_cmp(&self.scores[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| {
-                self.weights[b]
-                    .partial_cmp(&self.weights[a])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .then_with(|| a.cmp(&b))
+    /// Indices of the `k` highest ranked edges (all of them when `k`
+    /// exceeds [`ScoredEdges::len`]), in ranking order.
+    ///
+    /// # Ranking rule
+    ///
+    /// Edges rank by descending `score`, then descending `weight`, then
+    /// *ascending* `edge_index`. −0.0 and +0.0 are equal, and a NaN ranks
+    /// after every number (a NaN score after every scored edge; among equal
+    /// scores, a NaN weight after every weight). For NaN-free scores this is
+    /// the order of comparing the floats directly. Because `edge_index` is
+    /// unique, no two edges tie: the selected set and its order are a pure
+    /// function of the columns, independent of thread count, of whether the
+    /// order was cached, and of call order. Equal-score, equal-weight edges
+    /// are kept in original edge order — the contract the evaluation sweeps
+    /// and the `Pipeline` golden tests rely on.
+    ///
+    /// # Cost
+    ///
+    /// Once [`ScoredEdges::ranked`] has built the full order, this is a copy
+    /// of its first `k` ids. Otherwise it selects on integer keys (see the
+    /// [module docs](self#ranking)): `select_nth_unstable` over one 8-byte
+    /// score key per edge, `O(E)`, then a sort of the `k` survivors and any
+    /// edges tied with the `k`-th score. The order is not built here, so a
+    /// one-shot run never pays for a full sort.
+    pub fn top_k(&self, k: usize) -> Vec<usize> {
+        let k = k.min(self.len());
+        match self.ranked.0.get() {
+            Some(order) => order[..k].iter().map(|&id| id as usize).collect(),
+            None => self
+                .rank_prefix(k)
+                .into_iter()
+                .map(|(_, id)| id as usize)
+                .collect(),
+        }
     }
 
-    /// Indices of the `k` highest scoring edges, in ranking order (descending
-    /// score, ties broken by descending weight, then by edge index).
+    /// Every edge id in ranking order (the rule of [`ScoredEdges::top_k`]).
     ///
-    /// # Tie-break and determinism contract
-    ///
-    /// The ranking comparator is a **total order** over edges: descending
-    /// `score`, then descending `weight`, then *ascending* `edge_index` as the
-    /// final tiebreaker (incomparable floats — NaN — compare equal and fall
-    /// through to the next key). Because `edge_index` is unique, two distinct
-    /// edges never compare equal, so the selected set and its order are a pure
-    /// function of the scores: independent of thread count, selection
-    /// algorithm, and call order. Equal-score, equal-weight edges are kept in
-    /// original edge order — the contract the evaluation sweeps and the
-    /// `Pipeline` golden tests rely on.
-    ///
-    /// Uses `select_nth_unstable_by` partial selection — `O(E)` to isolate the
-    /// top `k`, plus `O(k log k)` to order them — instead of a full
-    /// `O(E log E)` sort. The returned set and order are exactly those of a
-    /// full sort, because the tie-break comparator is a total order.
-    pub fn top_k(&self, k: usize) -> Vec<usize> {
-        if k == 0 || self.is_empty() {
+    /// The first call sorts one key per edge and keeps the result; every
+    /// later call, and every [`ScoredEdges::top_k`] and
+    /// [`ScoredEdges::top_share`] call after it, reads that order. It costs
+    /// 4 bytes per edge, counted in [`ScoredEdges::memory_bytes`] once
+    /// built. Build it for a set that is selected from more than once (the
+    /// server's cached scores, a sweep over edge shares); a single top-k
+    /// selection is cheaper without it.
+    pub fn ranked(&self) -> &[u32] {
+        self.ranked.0.get_or_init(|| {
+            self.rank_prefix(self.len())
+                .into_iter()
+                .map(|(_, id)| id)
+                .collect()
+        })
+    }
+
+    /// The first `k` (at most [`ScoredEdges::len`]) edges in ranking order,
+    /// by keyed selection; only their ids are meaningful afterwards (see
+    /// [`ScoredEdges::sort_keys`]).
+    fn rank_prefix(&self, k: usize) -> Vec<RankKey> {
+        if k == 0 {
             return Vec::new();
         }
-        let mut order: Vec<usize> = (0..self.len()).collect();
-        if k < order.len() {
-            order.select_nth_unstable_by(k - 1, |&a, &b| self.rank_order(a, b));
-            order.truncate(k);
+        // Below the full length, find the k-th highest score on 8-byte keys
+        // first: only the edges scoring at or above it, ties included (a
+        // tie may outrank the k-th edge by weight), need an id and a sort.
+        let (boundary, survivors) = if k < self.len() {
+            let mut keys: Vec<u64> = self.scores.iter().map(|&score| desc_key(score)).collect();
+            let (_, &mut boundary, below) = keys.select_nth_unstable(k - 1);
+            let ties = below.iter().filter(|&&key| key == boundary).count();
+            (boundary, k + ties)
+        } else {
+            (u64::MAX, self.len())
+        };
+        let mut keys: Vec<RankKey> = Vec::with_capacity(survivors);
+        // Edge ids fit `u32`: `score_edges` refuses larger sets.
+        keys.extend(
+            self.scores
+                .iter()
+                .zip(0u32..)
+                .map(|(&score, id)| (desc_key(score), id))
+                .filter(|&(key, _)| key <= boundary),
+        );
+        self.sort_keys(&mut keys);
+        keys.truncate(k);
+        keys
+    }
+
+    /// Sort `(desc_key(score), id)` pairs into ranking order: sort them,
+    /// then re-key each run of tied scores by weight and sort the run again.
+    /// The run's score key is no longer needed once the run is in place.
+    fn sort_keys(&self, keys: &mut [RankKey]) {
+        keys.sort_unstable();
+        for run in keys.chunk_by_mut(|a, b| a.0 == b.0) {
+            if run.len() > 1 {
+                for key in run.iter_mut() {
+                    key.0 = desc_key(self.weights[key.1 as usize]);
+                }
+                run.sort_unstable();
+            }
         }
-        order.sort_unstable_by(|&a, &b| self.rank_order(a, b));
-        order
     }
 
     /// Indices of the top `share` (in `[0, 1]`) of edges by score.
     ///
     /// The edge count is `round(share × E)` — round-half-up, so `share = 0.5`
-    /// of 5 edges keeps 3 — and the selection inherits the deterministic
-    /// tie-break contract of [`ScoredEdges::top_k`]: the result is the same
-    /// set, in the same ranking order, on every run and at every thread
-    /// count.
+    /// of 5 edges keeps 3 — and the selection is [`ScoredEdges::top_k`] of
+    /// that count: the same ranking rule, so the same set in the same order
+    /// on every run and at every thread count, and a prefix copy once the
+    /// order is [`ranked`](ScoredEdges::ranked).
     pub fn top_share(&self, share: f64) -> BackboneResult<Vec<usize>> {
         if !(0.0..=1.0).contains(&share) {
             return Err(BackboneError::InvalidParameter {
@@ -581,6 +717,8 @@ pub trait BackboneExtractor {
 mod tests {
     use super::*;
     use backboning_graph::Direction;
+    use proptest::prelude::*;
+    use std::cmp::Ordering;
 
     fn sample_scores() -> (WeightedGraph, ScoredEdges) {
         let graph = WeightedGraph::from_edges(
@@ -667,6 +805,203 @@ mod tests {
         assert_eq!(scored.top_k(2), vec![0, 1]);
     }
 
+    /// The comparator `top_k` ranked with before it selected on integer
+    /// keys, kept as the oracle of the keyed order: descending score, then
+    /// descending weight, then ascending edge id, by `partial_cmp`. A NaN
+    /// "compares equal" to everything, so it is a total order only on
+    /// NaN-free columns.
+    fn comparator(scored: &ScoredEdges, a: usize, b: usize) -> Ordering {
+        scored.scores[b]
+            .partial_cmp(&scored.scores[a])
+            .unwrap_or(Ordering::Equal)
+            .then_with(|| {
+                scored.weights[b]
+                    .partial_cmp(&scored.weights[a])
+                    .unwrap_or(Ordering::Equal)
+            })
+            .then_with(|| a.cmp(&b))
+    }
+
+    /// Descending order with every NaN after every number: the stated rule
+    /// for NaN, which the comparator leaves undefined.
+    fn descending_nan_last(a: f64, b: f64) -> Ordering {
+        a.is_nan()
+            .cmp(&b.is_nan())
+            .then_with(|| b.partial_cmp(&a).unwrap_or(Ordering::Equal))
+    }
+
+    /// Every edge id, fully sorted by `order`.
+    fn sorted_by(
+        scored: &ScoredEdges,
+        order: impl Fn(&ScoredEdges, usize, usize) -> Ordering,
+    ) -> Vec<usize> {
+        let mut ids: Vec<usize> = (0..scored.len()).collect();
+        ids.sort_by(|&a, &b| order(scored, a, b));
+        ids
+    }
+
+    /// A set with these score and weight columns and no optional ones.
+    fn from_columns(scores: Vec<f64>, weights: Vec<f64>) -> ScoredEdges {
+        let len = scores.len();
+        ScoredEdges {
+            method: "columns",
+            node_count: 2,
+            sources: vec![0; len],
+            targets: vec![1; len],
+            weights,
+            scores,
+            raw_scores: None,
+            std_devs: None,
+            p_values: None,
+            ranked: RankOrder::default(),
+        }
+    }
+
+    /// Small value pools, so a few dozen edges tie heavily on score and on
+    /// weight; both hold ±0.0, ±∞, subnormals and ±`f64::MAX`.
+    const SCORE_POOL: [f64; 13] = [
+        0.0,
+        -0.0,
+        5e-324,
+        -5e-324,
+        1e-310,
+        1.0,
+        2.5,
+        -2.5,
+        1e300,
+        f64::MAX,
+        -f64::MAX,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+    const WEIGHT_POOL: [f64; 8] = [
+        1.0,
+        2.0,
+        0.0,
+        -0.0,
+        5e-324,
+        f64::MAX,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+
+    /// Columns drawn from the pools; an index one past a pool is a NaN.
+    fn pool_columns(picks: &[(usize, usize)]) -> (Vec<f64>, Vec<f64>) {
+        let pick = |pool: &[f64], index: usize| pool.get(index).copied().unwrap_or(f64::NAN);
+        picks
+            .iter()
+            .map(|&(score, weight)| (pick(&SCORE_POOL, score), pick(&WEIGHT_POOL, weight)))
+            .unzip()
+    }
+
+    fn ranked_ids(scored: &ScoredEdges) -> Vec<usize> {
+        scored.ranked().iter().map(|&id| id as usize).collect()
+    }
+
+    #[test]
+    fn desc_key_orders_numbers_descending_and_nan_last() {
+        let values = SCORE_POOL.iter().chain(&WEIGHT_POOL).copied();
+        for a in values.clone() {
+            for b in values.clone() {
+                assert_eq!(
+                    desc_key(a).cmp(&desc_key(b)),
+                    b.partial_cmp(&a).unwrap(),
+                    "{a:e} vs {b:e}"
+                );
+            }
+            assert!(desc_key(a) < desc_key(f64::NAN), "{a:e}");
+            assert!(desc_key(a) < desc_key(-f64::NAN), "{a:e}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Keyed selection, the cached order and the comparator's full sort
+        /// agree on every prefix of NaN-free columns.
+        #[test]
+        fn keyed_selection_and_the_ranked_order_match_the_comparator(
+            picks in proptest::collection::vec(
+                (0usize..SCORE_POOL.len(), 0usize..WEIGHT_POOL.len()),
+                0..48,
+            )
+        ) {
+            let (scores, weights) = pool_columns(&picks);
+            let scored = from_columns(scores, weights);
+            let oracle = sorted_by(&scored, comparator);
+            let len = scored.len();
+            for k in 0..=len + 1 {
+                let top = scored.top_k(k);
+                prop_assert!(top == oracle[..k.min(len)], "keyed, k = {}: {:?}", k, top);
+            }
+            prop_assert!(scored.ranked.0.get().is_none(), "top_k built the order");
+            prop_assert_eq!(ranked_ids(&scored), oracle);
+            prop_assert_eq!(scored.memory_bytes(), 28 * len);
+            for k in 0..=len + 1 {
+                let top = scored.top_k(k);
+                prop_assert!(top == oracle[..k.min(len)], "ranked, k = {}: {:?}", k, top);
+            }
+        }
+
+        /// The NaN rule: a NaN score ranks after every number, and among
+        /// equal scores a NaN weight after every weight. The keyed and the
+        /// cached order both follow it.
+        #[test]
+        fn a_nan_ranks_after_every_number(
+            picks in proptest::collection::vec(
+                (0usize..SCORE_POOL.len() + 1, 0usize..WEIGHT_POOL.len() + 1),
+                0..48,
+            )
+        ) {
+            let (scores, weights) = pool_columns(&picks);
+            let scored = from_columns(scores, weights);
+            let rule = sorted_by(&scored, |scored, a, b| {
+                descending_nan_last(scored.scores[a], scored.scores[b])
+                    .then_with(|| descending_nan_last(scored.weights[a], scored.weights[b]))
+                    .then_with(|| a.cmp(&b))
+            });
+            let len = scored.len();
+            for k in 0..=len + 1 {
+                let top = scored.top_k(k);
+                prop_assert!(top == rule[..k.min(len)], "keyed, k = {}: {:?}", k, top);
+            }
+            let ranked = ranked_ids(&scored);
+            prop_assert_eq!(&ranked, &rule);
+            let numbers = scored.scores.iter().filter(|score| !score.is_nan()).count();
+            prop_assert!(ranked[..numbers].iter().all(|&id| !scored.scores[id].is_nan()));
+        }
+
+        /// Overwriting a row drops the order built from the old columns; the
+        /// next read ranks the new ones. `==` and clones ignore the order.
+        #[test]
+        fn set_row_drops_a_stale_rank_order(
+            picks in proptest::collection::vec(
+                (0usize..SCORE_POOL.len(), 0usize..WEIGHT_POOL.len()),
+                1..48,
+            ),
+            row in 0usize..48,
+            new_score in 0usize..SCORE_POOL.len(),
+        ) {
+            let (scores, weights) = pool_columns(&picks);
+            let mut scored = from_columns(scores, weights);
+            let unranked = scored.clone();
+            scored.ranked();
+            prop_assert!(scored == unranked);
+            prop_assert!(scored.clone().ranked.0.get().is_none());
+            let edge = EdgeRef {
+                index: row % scored.len(),
+                source: 0,
+                target: 1,
+                weight: WEIGHT_POOL[row % WEIGHT_POOL.len()],
+            };
+            scored.set_row(edge, [], (SCORE_POOL[new_score], []));
+            prop_assert!(scored.ranked.0.get().is_none(), "set_row kept the order");
+            prop_assert_eq!(scored.memory_bytes(), 24 * scored.len());
+            let oracle = sorted_by(&scored, comparator);
+            prop_assert_eq!(ranked_ids(&scored), oracle);
+        }
+    }
+
     #[test]
     fn symmetrization_combinations() {
         assert_eq!(Symmetrization::Max.combine(1.0, 2.0), 2.0);
@@ -729,6 +1064,13 @@ mod tests {
                 scored.memory_bytes(),
                 per_edge * graph.edge_count(),
                 "{method}"
+            );
+            // The rank order adds one u32 edge id per edge.
+            scored.ranked();
+            assert_eq!(
+                scored.memory_bytes(),
+                (per_edge + 4) * graph.edge_count(),
+                "{method}, ranked"
             );
         }
     }

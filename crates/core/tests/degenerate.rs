@@ -3,11 +3,12 @@
 //! weight sums that overflow `f64` are refused instead of scored.
 
 use backboning::{
-    BackboneError, BackboneExtractor, DisparityFilter, DoublyStochastic, HighSalienceSkeleton,
-    MaximumSpanningTree, Method, NaiveThreshold, NoiseCorrected, NoiseCorrectedBinomial,
+    apply_batch, delta_rescore, BackboneError, BackboneExtractor, DisparityFilter,
+    DoublyStochastic, HighSalienceSkeleton, MaximumSpanningTree, Method, NaiveThreshold,
+    NoiseCorrected, NoiseCorrectedBinomial,
 };
 use backboning_graph::io::{read_edge_list_csr_str, read_edge_list_str, EdgeListOptions};
-use backboning_graph::{CsrGraph, Direction, WeightedGraph};
+use backboning_graph::{CsrGraph, DeltaBatch, Direction, WeightedGraph};
 
 fn extractors() -> Vec<Box<dyn BackboneExtractor>> {
     vec![
@@ -227,4 +228,57 @@ fn weight_sums_that_overflow_f64_are_refused() {
     let graph = read_edge_list_str("a b 1e307\na c 1e307\na d 1\na e 1\n", &options).unwrap();
     let scored = Method::DisparityFilter.score(&graph).unwrap();
     assert_eq!(scored.scores(), &[0.875, 0.875, 0.0, 0.0]);
+}
+
+#[test]
+fn strength_products_that_underflow_f64_are_refused_by_nc() {
+    // 1e-200: N̂i.·N̂.j underflows to 0, so κ = ∞ and the lift is NaN.
+    // 1e-100: the product is finite but its square underflows, so the
+    // lift's standard deviation is ∞. The undirected zero-weight edge b–x
+    // joins two strengths of 1e-150: its lift is a finite −1, but 0 · ∞
+    // makes its variance NaN, which used to be written as a deviation of 0.
+    let options = EdgeListOptions::default();
+    let undirected = EdgeListOptions::with_direction(Direction::Undirected);
+    let cases = [
+        ("a b 1e-200\nc d 5\n", &options),
+        ("a b 1e-100\nc d 5\n", &options),
+        ("a b 1e-150\nc x 1e-150\na c 5\nb x 0\n", &undirected),
+    ];
+    for (text, options) in cases {
+        let graph = read_edge_list_str(text, options).unwrap();
+        let csr = read_edge_list_csr_str(text, options).unwrap();
+        for extractor in [NoiseCorrected::default(), NoiseCorrected::without_prior()] {
+            for err in [
+                extractor.score(&graph).unwrap_err(),
+                extractor.score_with_threads(&csr, 1).unwrap_err(),
+                extractor.score_with_threads(&csr, 2).unwrap_err(),
+            ] {
+                assert!(
+                    matches!(err, BackboneError::UnsupportedGraph { method, .. }
+                        if method == extractor.name()),
+                    "{text:?}: {err}"
+                );
+                assert!(err.to_string().contains("too small for f64"), "{err}");
+            }
+        }
+    }
+
+    // A PATCH that shrinks a weight that far is refused the same way: NC
+    // rescores a patched graph from scratch.
+    let graph = read_edge_list_csr_str("a b 3\nc d 5\n", &options).unwrap();
+    let previous = Method::NoiseCorrected.score(&graph).unwrap();
+    let batch = DeltaBatch::parse_tsv("reweight a b 1e-200\n").unwrap();
+    let (patched, effect) = apply_batch(&graph, &batch).unwrap();
+    let err = delta_rescore(Method::NoiseCorrected, &patched, &previous, &effect, 1).unwrap_err();
+    assert!(
+        matches!(err, BackboneError::UnsupportedGraph { .. }),
+        "{err}"
+    );
+
+    // Small weights whose products stay normal floats score as before.
+    let graph = read_edge_list_str("a b 1e-20\nc d 5\n", &options).unwrap();
+    let scored = Method::NoiseCorrected.score(&graph).unwrap();
+    assert!(scored
+        .iter()
+        .all(|edge| edge.raw_score.unwrap().is_finite() && edge.std_dev.unwrap().is_finite()));
 }

@@ -87,15 +87,19 @@ pub fn run_with_threads(
     let kinds = CountryNetworkKind::all();
     let sweeps = par_map(&kinds, resolve_threads(threads), |_, &kind| {
         let graph = data.network(kind, 0);
-        // Pre-score the tunable methods once per network. Inner scoring is
-        // pinned to one thread — the per-network sweep is the parallel axis.
+        // Pre-score the tunable methods once per network, and rank each
+        // score set once: every edge share below is a prefix of that order.
+        // Inner scoring is pinned to one thread — the per-network sweep is
+        // the parallel axis.
         let scored: Vec<Option<backboning::ScoredEdges>> = methods
             .iter()
             .map(|method| {
                 if method.is_parameter_free() {
                     None
                 } else {
-                    method.score_with_threads(graph, 1).ok()
+                    method.score_with_threads(graph, 1).ok().inspect(|scored| {
+                        scored.ranked();
+                    })
                 }
             })
             .collect();

@@ -71,13 +71,17 @@ pub fn run(data: &CountryData, methods: &[Method], edge_shares: &[f64]) -> Stabi
     for kind in CountryNetworkKind::all() {
         let year_t = data.network(kind, 0);
         let year_t1 = data.network(kind, 1);
+        // Rank each score set once: every edge share below is a prefix of
+        // that order.
         let scored: Vec<Option<backboning::ScoredEdges>> = methods
             .iter()
             .map(|method| {
                 if method.is_parameter_free() {
                     None
                 } else {
-                    method.score(year_t).ok()
+                    method.score(year_t).ok().inspect(|scored| {
+                        scored.ranked();
+                    })
                 }
             })
             .collect();

@@ -20,7 +20,9 @@
 //!                                       │                 graphs: name → CsrGraph (compact u32 core)
 //!                                       │                 cache:  (graph, method) → ScoredEdges (LRU)
 //!                                       ▼
-//!                            Pipeline::run_with_scores   (select only — scores reused)
+//!                            Pipeline::run_with_scores   (select only — scores reused;
+//!                                                         top-k/share/coverage read a
+//!                                                         prefix of the set's rank order)
 //! ```
 //!
 //! Responses reuse the CLI's writers (TSV backbone/score tables, JSON

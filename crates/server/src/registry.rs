@@ -49,13 +49,19 @@
 //! doubly-stochastic scaling answers every DS query with the same error
 //! without re-running Sinkhorn.
 //!
+//! A cached set is ranked lazily: the first `top_k`, `top_share` or
+//! `coverage` read of each (generation, method) builds its rank order
+//! ([`backboning::ScoredEdges::ranked`]) and later reads copy a prefix of
+//! it. [`Registry::patch`] seeds the successor with unranked sets, so a
+//! PATCH never pays for a sort.
+//!
 //! Both caches are **LRU-bounded**: a `ScoredEdges` set costs 24–40 bytes
-//! per edge (see [`backboning::scored`]), the same order as the 32–48 bytes
-//! per edge (plus per-node arrays) of the [`CsrGraph`] it scores, so a
-//! client sweeping methods could otherwise pin several graphs' worth of
-//! memory. At most `MAX_SCORED_METHODS` score sets (and
-//! `MAX_COMPARE_REPORTS` reports) are retained per state, evicting the
-//! least-recently-used slot.
+//! per edge, 28–44 once ranked (see [`backboning::scored`]), the same
+//! order as the 32–48 bytes per edge (plus per-node arrays) of the
+//! [`CsrGraph`] it scores, so a client sweeping methods could otherwise
+//! pin several graphs' worth of memory. At most `MAX_SCORED_METHODS` score
+//! sets (and `MAX_COMPARE_REPORTS` reports) are retained per state,
+//! evicting the least-recently-used slot.
 //! Eviction is always safe: every cached value is a pure function of
 //! `(graph, key)`, so a re-scored response is byte-identical to the
 //! evicted one (pinned by the integration suite).

@@ -768,9 +768,32 @@ fn metrics_report_graph_and_score_cache_memory() {
     let (status, _) = get(&server, "/graphs/trade/backbone?method=nc&top_k=5");
     assert_eq!(status, 200);
     let nc = Method::NoiseCorrected.score(&graph).unwrap();
-    assert!(nc.memory_bytes() > 0);
+    let columns = nc.memory_bytes();
+    assert_eq!(columns, 40 * graph.edge_count());
+    // A top-k read of cached scores ranks them: the kept order adds one
+    // u32 edge id per edge.
+    nc.ranked();
+    assert_eq!(nc.memory_bytes(), columns + 4 * graph.edge_count());
     assert_eq!(gauge("score_cache_bytes"), nc.memory_bytes());
     assert_eq!(gauge("graph_memory_bytes"), graph.memory_bytes());
+
+    // A PATCH rescores the cached set without ranking it: the gauge reads
+    // the rescored columns alone, through a threshold read too, until the
+    // next rank-based read builds the order again.
+    let (status, body) = patch(&server, "/graphs/trade", "reweight usa deu 90\n", None);
+    assert_eq!(status, 200, "{}", text(&body));
+    assert!(
+        text(&body).contains("\"rescored_methods\": [\"nc\"]"),
+        "{}",
+        text(&body)
+    );
+    assert_eq!(gauge("score_cache_bytes"), columns);
+    let (status, _) = get(&server, "/graphs/trade/backbone?method=nc&threshold=1.0");
+    assert_eq!(status, 200);
+    assert_eq!(gauge("score_cache_bytes"), columns);
+    let (status, _) = get(&server, "/graphs/trade/backbone?method=nc&top_share=0.2");
+    assert_eq!(status, 200);
+    assert_eq!(gauge("score_cache_bytes"), columns + 4 * graph.edge_count());
     server.shutdown();
 }
 
