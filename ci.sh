@@ -33,10 +33,18 @@ echo "==> benchmark harness: build and test perfbench against the current crates
 # benchmark run.
 cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
-echo "==> perf smoke: bench_snapshot -> BENCH_backbones.json"
+echo "==> perf smoke: bench_snapshot -> a temp file"
 # BENCH_SCALE=full adds the million-node substrates (that mode produces the
-# committed BENCH_backbones.json); the default keeps the smoke budget.
-cargo run --release -p backboning_bench --bin bench_snapshot
+# committed BENCH_backbones.json); the default keeps the smoke budget. The
+# smoke-scale rows go to a temp file, so the committed full-scale record
+# is left as it is.
+SNAPSHOT_JSON=$(mktemp --suffix .json)
+cleanup_snapshot() { rm -f "$SNAPSHOT_JSON"; }
+trap cleanup_snapshot EXIT
+BENCH_SNAPSHOT_PATH="$SNAPSHOT_JSON" cargo run --release -p backboning_bench --bin bench_snapshot
+grep -q '"substrate": ' "$SNAPSHOT_JSON"
+cleanup_snapshot
+trap - EXIT
 
 echo "==> large-substrate smoke: 100k-node BA through score -> select (180 s budget)"
 SMOKE_TSV=$(mktemp --suffix .tsv)
@@ -102,6 +110,28 @@ echo "$GEN_SUMMARY" | grep -q '"nodes": 5000'
 GEN_HASH_A=$(./target/release/backbone gen "$GEN_SPEC" | sha256sum)
 GEN_HASH_B=$(./target/release/backbone gen "$GEN_SPEC" | sha256sum)
 [ "$GEN_HASH_A" = "$GEN_HASH_B" ]
+
+echo "==> round-trip smoke: gen | naive --threshold 0 gives back the same bytes"
+# Every edge kept, in edge-id order: the written weights (2.2e-8 to 8.1e6,
+# shortest round-trip digits) must read back to the same f64s and be
+# written as the same text again.
+RT_GEN=$(mktemp --suffix .tsv)
+RT_OUT=$(mktemp --suffix .tsv)
+cleanup_roundtrip() { rm -f "$RT_GEN" "$RT_OUT"; }
+trap cleanup_roundtrip EXIT
+./target/release/backbone gen \
+    'sb:n=3000,b=6,pin=0.03,pout=0.001,w=lognormal(0,4),noise=0.3,seed=11' > "$RT_GEN"
+./target/release/backbone -m naive --threshold 0 < "$RT_GEN" > "$RT_OUT"
+[ "$(wc -l < "$RT_GEN")" -gt 20000 ]
+cmp "$RT_GEN" "$RT_OUT"
+cleanup_roundtrip
+trap - EXIT
+# A node name holding a tab (possible with --csv) is refused with exit 1,
+# not written back as a line that reads as a different graph.
+TAB_STATUS=0
+printf 'x\t2,3,1\n3,4,5\n' | ./target/release/backbone --csv -m naive --threshold 0 2>/dev/null \
+    | ./target/release/backbone --tsv -m naive --threshold 0 >/dev/null || TAB_STATUS=$?
+[ "$TAB_STATUS" = "1" ]
 
 echo "==> bench-matrix smoke: 3-cell sweep, rows parse and are run-stable"
 MATRIX_A=$(mktemp --suffix .json)
@@ -177,6 +207,7 @@ COMPARE_CACHED=$(curl -sf "${SERVE_URL}/graphs/trade/compare")
 curl -sf "${SERVE_URL}/metrics" | grep -q '# TYPE http_requests_total counter'
 curl -sf "${SERVE_URL}/metrics" | grep -Eq '^graph_memory_bytes [1-9][0-9]*$'
 curl -sf "${SERVE_URL}/metrics" | grep -Eq '^score_cache_bytes [1-9][0-9]*$'
+curl -sf "${SERVE_URL}/metrics" | grep -Eq '^process_resident_memory_bytes [1-9][0-9]*$'
 curl -sf "${SERVE_URL}/metrics" | grep -q 'http_request_duration_seconds{method="GET",route="/graphs/{name}/backbone",quantile="0.5"}'
 curl -sf "${SERVE_URL}/metrics?format=json" | grep -q '"name": "http_requests_total"'
 curl -sf "${SERVE_URL}/health" | grep -q '"cache": { "scored": { "hits": '

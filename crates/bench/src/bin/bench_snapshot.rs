@@ -1,6 +1,7 @@
 //! Perf smoke snapshot: time every backbone extractor on fixed synthetic
-//! substrates and write `BENCH_backbones.json` at the repo root, so each CI
-//! run leaves a comparable perf trajectory point behind.
+//! substrates and write `BENCH_backbones.json` at the repo root (or the
+//! file `BENCH_SNAPSHOT_PATH` names: `ci.sh` runs the smoke into a temp
+//! file, so the committed full-scale record is not overwritten).
 //!
 //! Substrates (fixed seeds, so every run measures the same graphs):
 //!

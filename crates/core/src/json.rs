@@ -23,6 +23,8 @@
 //! assert_eq!(json::escape("tab\there"), "tab\\there");
 //! ```
 
+use backboning_graph::io::write_f64;
+
 /// Append `text` to `out` with JSON string escaping (quotes, backslashes,
 /// and control characters; no surrounding quotes).
 pub fn escape_into(out: &mut String, text: &str) {
@@ -57,14 +59,17 @@ pub fn string(text: &str) -> String {
     out
 }
 
-/// `value` as a JSON number via Rust's shortest-roundtrip `Display`
-/// formatting; non-finite values (which JSON cannot represent) become `null`.
+/// `value` as a JSON number: the bytes of its `{}` text, the shortest
+/// digits that read back to it and never an exponent, written by
+/// [`write_f64`]; non-finite values (which JSON cannot represent) become
+/// `null`.
 pub fn number(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value}")
-    } else {
-        "null".to_string()
+    if !value.is_finite() {
+        return "null".to_string();
     }
+    let mut text = Vec::with_capacity(24);
+    write_f64(&mut text, value).expect("writing to a Vec cannot fail");
+    String::from_utf8(text).expect("write_f64 writes ASCII")
 }
 
 /// `value` as a JSON number with a fixed number of decimal places (the

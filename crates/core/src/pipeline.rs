@@ -42,7 +42,7 @@ use std::io::{BufWriter, Write};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use backboning_graph::io::{write_edge_fields, write_edges};
+use backboning_graph::io::{write_edge_fields, write_edges, write_f64};
 use backboning_graph::{GraphError, GraphView};
 
 use crate::error::{BackboneError, BackboneResult};
@@ -497,18 +497,24 @@ impl PipelineRun {
         writer
             .write_all(b"# source\ttarget\tweight\tscore\traw_score\tstd_dev\tp_value\tkept\n")
             .map_err(io_err)?;
-        let write_optional = |writer: &mut BufWriter<W>, value: Option<f64>| match value {
-            Some(v) => write!(writer, "\t{v}"),
-            None => writer.write_all(b"\tNA"),
-        };
         for edge in self.scored.iter() {
             write_edge_fields(graph, edge.source, edge.target, edge.weight, &mut writer)
                 .map_err(io_err)?;
-            write!(writer, "\t{}", edge.score).map_err(io_err)?;
-            write_optional(&mut writer, edge.raw_score).map_err(io_err)?;
-            write_optional(&mut writer, edge.std_dev).map_err(io_err)?;
-            write_optional(&mut writer, edge.p_value).map_err(io_err)?;
-            writeln!(writer, "\t{}", u8::from(kept[edge.edge_index])).map_err(io_err)?;
+            for value in [Some(edge.score), edge.raw_score, edge.std_dev, edge.p_value] {
+                match value {
+                    Some(value) => {
+                        writer.write_all(b"\t").map_err(io_err)?;
+                        write_f64(&mut writer, value).map_err(io_err)?;
+                    }
+                    None => writer.write_all(b"\tNA").map_err(io_err)?,
+                }
+            }
+            let kept_column: &[u8] = if kept[edge.edge_index] {
+                b"\t1\n"
+            } else {
+                b"\t0\n"
+            };
+            writer.write_all(kept_column).map_err(io_err)?;
         }
         writer.flush().map_err(io_err)?;
         Ok(())

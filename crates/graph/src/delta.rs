@@ -57,6 +57,7 @@ use std::sync::Arc;
 use crate::csr::{check_capacity, CsrBuilder, CsrGraph};
 use crate::error::{GraphError, GraphResult};
 use crate::graph::{Direction, NodeId};
+use crate::io::check_node_name;
 use crate::labels::LabelTable;
 
 /// One edge mutation, tagged with the 1-based input line it came from.
@@ -240,25 +241,6 @@ fn pair_key(source: u32, target: u32) -> u64 {
     (u64::from(source) << 32) | u64::from(target)
 }
 
-/// Refuse a new node name that an edge list could not carry back: an
-/// empty name, one padded with whitespace (the reader trims fields), or
-/// one holding a tab or a line break (field and line separators).
-fn check_new_name(token: &str, line: usize) -> GraphResult<()> {
-    let problem = if token.is_empty() {
-        "is empty"
-    } else if token.trim() != token {
-        "has leading or trailing whitespace"
-    } else if token.contains(['\t', '\r', '\n']) {
-        "contains a tab or line break"
-    } else {
-        return Ok(());
-    };
-    Err(line_error(
-        line,
-        format!("new node name {token:?} {problem}, which an edge list cannot carry"),
-    ))
-}
-
 impl DeltaGraph {
     /// Seed the overlay from a compact graph: live edges in edge-id order,
     /// plus the graph's shared label table for token resolution.
@@ -357,7 +339,7 @@ impl DeltaGraph {
             if !allow_new {
                 return Err(line_error(line, format!("unknown node `{token}`")));
             }
-            check_new_name(token, line)?;
+            check_node_name(token).map_err(|message| line_error(line, format!("new {message}")))?;
             check_capacity("nodes", *staged_nodes as u64 + 1)?;
             let id = *staged_nodes;
             staged_labels.intern(token, id - self.node_count)?;

@@ -9,7 +9,9 @@
 //! [`BufRead`] source (a file, stdin, a byte slice), so arbitrarily large
 //! edge lists are ingested without buffering the whole file or materializing
 //! an intermediate `Vec` of parsed lines. Parse failures report the offending
-//! source name and line number. A node name may not be empty, and one
+//! source name and line number. A node name may not be empty, nor hold a
+//! tab or a carriage return, which the tab-separated writers could not
+//! carry back (both are possible only with an explicit separator). One
 //! byte-order mark (U+FEFF) leading the input is dropped.
 //!
 //! Two families of readers share one parser:
@@ -95,9 +97,11 @@ impl EdgeListOptions {
 ///
 /// One `String` is refilled for every line and only the first three fields
 /// are split off, so parsing a line allocates nothing. A leading U+FEFF
-/// byte-order mark on line 1 is dropped, and an empty source or target name
+/// byte-order mark on line 1 is dropped. An empty source or target name
 /// (possible only with an explicit separator, as in `a,,3`) is an error
-/// rather than a node labelled `""`.
+/// rather than a node labelled `""`, and so is a name that
+/// [`check_node_name`] refuses (with an explicit separator, one holding a
+/// tab or a carriage return, as in `x\t2,3,1`).
 fn parse_edge_lines<R, F>(
     mut reader: R,
     options: &EdgeListOptions,
@@ -156,6 +160,12 @@ where
                     ),
                 });
             }
+            // Whitespace splitting leaves no whitespace inside a field.
+            if options.separator.is_some() {
+                check_node_name(field).map_err(|message| GraphError::Io {
+                    message: format!("{source_name}: line {line_number}: {message}"),
+                })?;
+            }
         }
         let weight = if count == 3 {
             fields[2].parse::<f64>().map_err(|_| GraphError::Io {
@@ -171,6 +181,27 @@ where
             message: format!("{source_name}: line {line_number}: {e}"),
         })?;
     }
+}
+
+/// Refuse a node name that an edge list could not carry back: an empty
+/// name, one padded with whitespace (the readers trim fields), or one
+/// holding a tab or a line break (the writers' field and line separators).
+/// The error reads `node name "…" <problem>, which an edge list cannot
+/// carry`. The readers apply it to every name split off by an explicit
+/// separator, and a PATCH to every name it adds.
+pub(crate) fn check_node_name(name: &str) -> Result<(), String> {
+    let problem = if name.is_empty() {
+        "is empty"
+    } else if name.trim() != name {
+        "has leading or trailing whitespace"
+    } else if name.contains(['\t', '\r', '\n']) {
+        "contains a tab or line break"
+    } else {
+        return Ok(());
+    };
+    Err(format!(
+        "node name {name:?} {problem}, which an edge list cannot carry"
+    ))
 }
 
 /// The first three items of `fields` and how many there were (at most 3);
@@ -338,7 +369,37 @@ pub fn write_edge_fields<G: GraphView, W: Write>(
     write_node(graph, source, writer)?;
     writer.write_all(b"\t")?;
     write_node(graph, target, writer)?;
-    write!(writer, "\t{weight}")
+    writer.write_all(b"\t")?;
+    write_f64(writer, weight)
+}
+
+/// Write `value` exactly as `write!(writer, "{value}")` would, byte for
+/// byte, for every `f64`: the fewest digits that read back to the same
+/// value (a tie between two rounds half up), in fixed notation with no
+/// exponent and no `.0` on integers (`5`, `0.001`, `1e21` as `1` and 21
+/// zeros, `5e-324` as 326 bytes), a `-` on every negative value including
+/// `-0`, and `NaN`, `inf`, `-inf`.
+///
+/// Every float the workspace writes goes through here: edge weights, the
+/// scored-edge columns and JSON numbers. The digits come from Ryu's
+/// shortest-digit search (Adams, PLDI 2018), a few 64×128-bit multiplies
+/// against tables of powers of five, and the text is laid out in a stack
+/// buffer and handed to `writer` in one `write_all`.
+///
+/// ```
+/// use backboning_graph::io::write_f64;
+///
+/// let mut out = Vec::new();
+/// for value in [0.1, 1e21, -0.0, 1095000590158071.25] {
+///     write_f64(&mut out, value).unwrap();
+///     out.push(b' ');
+/// }
+/// assert_eq!(out, b"0.1 1000000000000000000000 -0 1095000590158071.3 ");
+/// ```
+pub fn write_f64<W: Write + ?Sized>(writer: &mut W, value: f64) -> std::io::Result<()> {
+    let mut text = [0; crate::ryu::MAX_LEN];
+    let len = crate::ryu::format(value, &mut text);
+    writer.write_all(&text[..len])
 }
 
 fn write_node<G: GraphView, W: Write>(

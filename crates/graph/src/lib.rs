@@ -27,7 +27,9 @@
 //! * Graph [`algorithms`] — union–find, connected components, BFS/DFS,
 //!   Dijkstra shortest-path trees (the building block of the High Salience
 //!   Skeleton), and Kruskal maximum spanning trees.
-//! * Edge-list [`io`] for plain-text interchange of weighted networks.
+//! * Edge-list [`io`] for plain-text interchange of weighted networks,
+//!   and [`io::write_f64`], the one writer of every float the workspace
+//!   prints: the bytes of `{}`, found with Ryu's shortest-digit search.
 //! * A dense [`matrix`] adjacency view used by the
 //!   Doubly-Stochastic backbone's Sinkhorn normalisation.
 
@@ -44,6 +46,7 @@ pub mod graph;
 pub mod io;
 pub mod labels;
 pub mod matrix;
+mod ryu;
 pub mod view;
 
 pub use builder::GraphBuilder;

@@ -1,6 +1,7 @@
 //! Regression tests for edge-list parsing: error reporting (source name +
-//! line number), malformed weights, empty node names, a leading byte-order
-//! mark, blank lines, and duplicate-edge accumulation semantics.
+//! line number), malformed weights, empty node names and names holding a
+//! tab or a carriage return, a leading byte-order mark, blank lines, and
+//! duplicate-edge accumulation semantics.
 
 use backboning_graph::io::{
     read_edge_list_csr_named, read_edge_list_csr_str, read_edge_list_file, read_edge_list_named,
@@ -136,6 +137,40 @@ fn empty_node_names_are_rejected_by_both_readers() {
             "{text:?}: `{message}`"
         );
     }
+}
+
+#[test]
+fn names_an_edge_list_cannot_carry_are_rejected_by_both_readers() {
+    // With an explicit separator a tab or a carriage return can land
+    // inside a name; written back as TSV, that line would read as a
+    // different edge.
+    for (text, separator, line, name) in [
+        ("x\t2,3,1\n3,4,5\n", ',', 1, "x\t2"),
+        ("a,b,1\nc,d\re,2\n", ',', 2, "d\re"),
+        ("a;b\rc;1\n", ';', 1, "b\rc"),
+        ("a\tb\rc\t4\n", '\t', 1, "b\rc"),
+    ] {
+        let options = EdgeListOptions {
+            separator: Some(separator),
+            ..Default::default()
+        };
+        let adjacency = read_edge_list_named(text.as_bytes(), &options, "edges.csv").unwrap_err();
+        let compact = read_edge_list_csr_named(text.as_bytes(), &options, "edges.csv").unwrap_err();
+        assert_eq!(adjacency, compact, "{text:?}");
+        let message = adjacency.to_string();
+        let expected = format!(
+            "edges.csv: line {line}: node name {name:?} contains a tab or line break, \
+             which an edge list cannot carry"
+        );
+        assert!(message.contains(&expected), "{text:?}: `{message}`");
+    }
+    // A name with an inner space is carried by a tab-separated line.
+    let options = EdgeListOptions {
+        separator: Some(','),
+        ..Default::default()
+    };
+    let graph = read_edge_list_csr_str("New York,Boston,3\n", &options).unwrap();
+    assert_eq!(graph.node_count(), 2);
 }
 
 #[test]

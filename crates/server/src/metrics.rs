@@ -18,13 +18,19 @@
 //!
 //! The `/metrics` endpoint additionally appends scrape-time samples owned
 //! elsewhere: the graph count, the resolved worker-thread count, the
-//! registry's scored-edge / compare-report cache counters, and two memory
-//! gauges, each summed over every registered graph's current generation:
+//! registry's scored-edge / compare-report cache counters, two memory
+//! gauges, each summed over every registered graph's current generation,
+//! and the whole process's resident memory:
 //!
 //! | name | labels | kind |
 //! |---|---|---|
 //! | `graph_memory_bytes` | — | gauge (CSR arrays and label table, `CsrGraph::memory_bytes`) |
 //! | `score_cache_bytes` | — | gauge (cached score sets, `ScoredEdges::memory_bytes`) |
+//! | `process_resident_memory_bytes` | — | gauge (resident set size, `VmRSS` of `/proc/self/status`; omitted off Linux) |
+//!
+//! The resident set also holds what the two memory gauges do not count —
+//! the PATCH overlay, the compare-report cache, allocator slack, the
+//! binary — so it reads at least their sum.
 //!
 //! Requests are recorded **before** their response bytes are written, so a
 //! client that has read its response can rely on a subsequent scrape already
@@ -118,6 +124,13 @@ impl ServerMetrics {
         ] {
             snapshot.push_gauge(name, &[], i64::try_from(bytes).unwrap_or(i64::MAX));
         }
+        if let Some(bytes) = resident_memory_bytes() {
+            snapshot.push_gauge(
+                "process_resident_memory_bytes",
+                &[],
+                i64::try_from(bytes).unwrap_or(i64::MAX),
+            );
+        }
         let counters = registry.cache_counters();
         snapshot.push_counter("score_cache_hits_total", &[], counters.scored_hits);
         snapshot.push_counter("score_cache_misses_total", &[], counters.scored_misses);
@@ -142,6 +155,18 @@ impl ServerMetrics {
             snapshot.to_prometheus()
         }
     }
+}
+
+/// The process's resident set size in bytes: the `VmRSS` line of
+/// `/proc/self/status`, which Linux gives in kB, so no page-size lookup is
+/// needed. `None` where that file or line does not exist (off Linux).
+fn resident_memory_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let value = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmRSS:"))?;
+    let kib: u64 = value.trim().strip_suffix("kB")?.trim_end().parse().ok()?;
+    Some(kib * 1024)
 }
 
 /// The bounded-cardinality route label of a parsed request: the matching
@@ -249,6 +274,10 @@ mod tests {
         assert!(text.contains("graph_memory_bytes 0\n"));
         assert!(text.contains("score_cache_bytes 0\n"));
         assert!(text.contains("score_cache_hits_total 0\n"));
+        assert_eq!(
+            text.contains("\nprocess_resident_memory_bytes "),
+            cfg!(target_os = "linux")
+        );
         assert!(text.contains("compare_cache_evictions_total 0\n"));
 
         let json = metrics.render(&registry, 4, true);

@@ -297,6 +297,23 @@ fn not_found_and_bad_request_paths() {
         "{err}"
     );
 
+    // So is a name holding a tab or a carriage return, which the TSV
+    // responses could not carry, and nothing is registered.
+    for (body, line) in [("x\t2,3,1\n3,4,5\n", 1), ("a,b,1\na,b\rc,2\n", 2)] {
+        let (status, response) = post(&server, "/graphs/tabbed?separator=,", body);
+        assert_eq!(status, 400, "{body:?}");
+        let err = text(&response);
+        assert!(
+            err.contains(&format!("<upload tabbed>: line {line}: node name")),
+            "{err}"
+        );
+        assert!(
+            err.contains("contains a tab or line break, which an edge list cannot carry"),
+            "{err}"
+        );
+        assert_eq!(get(&server, "/graphs/tabbed").0, 404);
+    }
+
     // Invalid graph names are rejected before parsing.
     let (status, _) = post(&server, "/graphs/..", "a b 1\n");
     assert_eq!(status, 400);
@@ -794,6 +811,38 @@ fn metrics_report_graph_and_score_cache_memory() {
     let (status, _) = get(&server, "/graphs/trade/backbone?method=nc&top_share=0.2");
     assert_eq!(status, 200);
     assert_eq!(gauge("score_cache_bytes"), columns + 4 * graph.edge_count());
+    server.shutdown();
+}
+
+/// `process_resident_memory_bytes` reads the whole process in bytes, so
+/// after loading and scoring a 60k-edge graph it is at least the two
+/// memory gauges' sum (a kB reading would fall far short of it).
+#[test]
+fn resident_memory_covers_the_memory_gauges() {
+    if !cfg!(target_os = "linux") {
+        return;
+    }
+    let server = trade_server(1);
+    let graph = backboning_graph::generators::barabasi_albert_csr(20_000, 3, 7).unwrap();
+    server.registry().insert("ba", graph).unwrap();
+    let (status, _) = get(&server, "/graphs/ba/backbone?method=nc&top_share=0.1");
+    assert_eq!(status, 200);
+    let (status, body) = get(&server, "/metrics");
+    assert_eq!(status, 200);
+    let metrics = text(&body);
+    let gauge = |name: &str| -> u64 {
+        let prefix = format!("{name} ");
+        metrics
+            .lines()
+            .find_map(|line| line.strip_prefix(prefix.as_str()))
+            .unwrap_or_else(|| panic!("no `{name}` gauge in {metrics}"))
+            .parse()
+            .expect("gauge value parses")
+    };
+    let counted = gauge("graph_memory_bytes") + gauge("score_cache_bytes");
+    assert!(counted > 2_000_000, "{counted}");
+    let resident = gauge("process_resident_memory_bytes");
+    assert!(resident >= counted, "{resident} < {counted}");
     server.shutdown();
 }
 
