@@ -380,9 +380,13 @@ pub fn write_edge_fields<G: GraphView, W: Write>(
 /// zeros, `5e-324` as 326 bytes), a `-` on every negative value including
 /// `-0`, and `NaN`, `inf`, `-inf`.
 ///
-/// Every float the workspace writes goes through here: edge weights, the
-/// scored-edge columns and JSON numbers. The digits come from Ryu's
-/// shortest-digit search (Adams, PLDI 2018), a few 64×128-bit multiplies
+/// The edge weights of `backbone gen`, CLI backbones and served TSV (via
+/// [`write_edge_fields`]), the four float columns of `-o scores` and the
+/// core crate's `json::number` are written here. Text rounded to a fixed
+/// number of decimals (`json::number_fixed`, used for summary shares and
+/// compare statistics) and the evaluation tables and bench records format
+/// their floats themselves. The digits come from Ryu's shortest-digit
+/// search (Adams, PLDI 2018), a few 64×128-bit multiplies
 /// against tables of powers of five, and the text is laid out in a stack
 /// buffer and handed to `writer` in one `write_all`.
 ///

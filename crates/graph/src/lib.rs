@@ -28,8 +28,9 @@
 //!   Dijkstra shortest-path trees (the building block of the High Salience
 //!   Skeleton), and Kruskal maximum spanning trees.
 //! * Edge-list [`io`] for plain-text interchange of weighted networks,
-//!   and [`io::write_f64`], the one writer of every float the workspace
-//!   prints: the bytes of `{}`, found with Ryu's shortest-digit search.
+//!   and [`io::write_f64`], which writes edge weights, score columns and
+//!   shortest-form JSON numbers as the bytes of `{}`, found with Ryu's
+//!   shortest-digit search.
 //! * A dense [`matrix`] adjacency view used by the
 //!   Doubly-Stochastic backbone's Sinkhorn normalisation.
 

@@ -67,28 +67,7 @@ pub(crate) fn format(value: f64, out: &mut [u8; MAX_LEN]) -> usize {
         out[sign] = b'0';
         return sign + 1;
     }
-    let decimal = small_integer(ieee_mantissa, ieee_exponent)
-        .unwrap_or_else(|| shortest(ieee_mantissa, ieee_exponent));
-    sign + write_fixed(decimal, &mut out[sign..])
-}
-
-/// The value itself when it is an integer in `[1, 2^53)`: every such
-/// integer is its own shortest form (its neighbours are a whole unit
-/// away), and count weights take this path without any multiply.
-fn small_integer(ieee_mantissa: u64, ieee_exponent: u32) -> Option<Decimal> {
-    let e2 = ieee_exponent as i32 - EXPONENT_BIAS - MANTISSA_BITS as i32;
-    if ieee_exponent == 0 || !(-(MANTISSA_BITS as i32)..=0).contains(&e2) {
-        return None;
-    }
-    let m2 = (1 << MANTISSA_BITS) | ieee_mantissa;
-    let fraction_bits = (-e2) as u32;
-    if m2 & ((1 << fraction_bits) - 1) != 0 {
-        return None;
-    }
-    Some(Decimal {
-        mantissa: m2 >> fraction_bits,
-        exponent: 0,
-    })
+    sign + write_fixed(shortest(ieee_mantissa, ieee_exponent), &mut out[sign..])
 }
 
 /// Ryu's shortest digits of a finite nonzero magnitude (`d2d` in the
