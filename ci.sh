@@ -65,6 +65,43 @@ echo "$SMOKE_HSSA" | grep -q '"hss_roots": 256'
 cleanup_smoke
 trap - EXIT
 
+echo "==> weighted-queue smoke: exact and all-root sampled HSS agree at 1 and 2 threads"
+# The hss-approx smoke above has unit weights and takes the batched BFS.
+# This graph has uniform(10) weights, so every tree grows through
+# CsrDijkstra's bucket queue. With as many roots as nodes, hss-approx is
+# the exact skeleton, and neither may depend on the thread count.
+HSSW_TSV=$(mktemp --suffix .tsv)
+HSSW_DIR=$(mktemp -d)
+cleanup_hssw() { rm -rf "$HSSW_TSV" "$HSSW_DIR"; }
+trap cleanup_hssw EXIT
+./target/release/backbone gen 'er:n=2000,e=6000,w=uniform(10),noise=0.1,seed=701' > "$HSSW_TSV"
+for HSSW_THREADS in 1 2; do
+    ./target/release/backbone -m hss --top-share 0.1 --undirected \
+        --threads "$HSSW_THREADS" "$HSSW_TSV" > "$HSSW_DIR/hss-$HSSW_THREADS.tsv"
+    ./target/release/backbone -m hss-approx --hss-roots 2000 --top-share 0.1 --undirected \
+        --threads "$HSSW_THREADS" "$HSSW_TSV" > "$HSSW_DIR/hssa-$HSSW_THREADS.tsv"
+done
+[ "$(wc -l < "$HSSW_DIR/hss-1.tsv")" -gt 500 ]
+for HSSW_RUN in hss-2 hssa-1 hssa-2; do
+    cmp "$HSSW_DIR/hss-1.tsv" "$HSSW_DIR/$HSSW_RUN.tsv"
+done
+cleanup_hssw
+trap - EXIT
+
+echo "==> DS smoke: a 50k-node graph is refused with exit 1, not an allocation abort"
+# DS's dense matrix would take 20 GB. Under a 4 GB address-space limit the
+# allocation fails, and the method must report that instead of aborting.
+DS_TSV=$(mktemp --suffix .tsv)
+cleanup_ds() { rm -f "$DS_TSV"; }
+trap cleanup_ds EXIT
+./target/release/backbone gen 'ba:n=50000,m=2,w=unit,noise=0,seed=1' > "$DS_TSV"
+DS_STATUS=0
+(ulimit -v 4000000 && exec ./target/release/backbone -m ds --top-k 10 "$DS_TSV") \
+    >/dev/null 2>&1 || DS_STATUS=$?
+[ "$DS_STATUS" = "1" ]
+cleanup_ds
+trap - EXIT
+
 echo "==> timings smoke: --timings prints a stage table to stderr only"
 TIMINGS_OUT=$(./target/release/backbone --method nc --top-k 5 --undirected --timings \
     -o summary docs/examples/trade.tsv 2>/dev/null)
@@ -132,6 +169,13 @@ TAB_STATUS=0
 printf 'x\t2,3,1\n3,4,5\n' | ./target/release/backbone --csv -m naive --threshold 0 2>/dev/null \
     | ./target/release/backbone --tsv -m naive --threshold 0 >/dev/null || TAB_STATUS=$?
 [ "$TAB_STATUS" = "1" ]
+# A node name holding a space (also possible with --csv) is written into a
+# line that the whitespace reader splits into four fields. It is refused
+# with exit 1, not read back as the edge `x 5` with weight 6.
+SPACE_STATUS=0
+printf 'x,5 6,3\n' | ./target/release/backbone --csv -m naive --threshold 0 2>/dev/null \
+    | ./target/release/backbone -m naive --threshold 0 >/dev/null 2>&1 || SPACE_STATUS=$?
+[ "$SPACE_STATUS" = "1" ]
 
 echo "==> bench-matrix smoke: 3-cell sweep, rows parse and are run-stable"
 MATRIX_A=$(mktemp --suffix .json)

@@ -43,7 +43,7 @@ fn substrates(criterion: &mut Criterion) {
                 }
             }
         }
-        let matrix = AdjacencyMatrix::from_graph(&dense);
+        let matrix = AdjacencyMatrix::from_graph(&dense).unwrap();
         bencher.iter(|| black_box(matrix.sinkhorn_knopp(1e-9, 500).unwrap().row_sum(0)));
     });
 

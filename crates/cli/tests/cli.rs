@@ -195,6 +195,32 @@ fn empty_node_names_fail_with_exit_1() {
 }
 
 #[test]
+fn a_fourth_field_fails_with_exit_1() {
+    // A CSV node name holding a space comes out of a TSV writer as `x\t5 6\t3`;
+    // read back on whitespace that line has four fields, not the edge `x 5`.
+    let tsv = stdout_of(&run_with_stdin(
+        &["--csv", "--method", "naive", "--threshold", "0"],
+        Some("x,5 6,3\n"),
+    ));
+    for (flags, text) in [
+        (&[][..], "a b 1\na b 3 extra\n"),
+        (&["--csv"][..], "a,b,1\na,b,3,extra\n"),
+        (&[][..], tsv.as_str()),
+    ] {
+        let mut args = vec!["--method", "naive", "--threshold", "0"];
+        args.extend_from_slice(flags);
+        let output = run_with_stdin(&args, Some(text));
+        assert_eq!(output.status.code(), Some(1), "{text:?}");
+        assert!(output.stdout.is_empty(), "{text:?}");
+        let err = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            err.contains(": expected at most `source target weight`"),
+            "{text:?}: `{err}`"
+        );
+    }
+}
+
+#[test]
 fn overflowing_weight_sums_fail_with_exit_1() {
     let output = run_with_stdin(
         &["--method", "nc", "--top-k", "1", "-o", "scores"],

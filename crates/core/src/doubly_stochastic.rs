@@ -65,7 +65,7 @@ impl DoublyStochastic {
             return ScoredEdges::score_edges(name, graph, threads, [], |_| Ok((0.0, [])));
         }
         let doubly_stochastic = AdjacencyMatrix::from_graph(graph)
-            .sinkhorn_knopp(self.tolerance, self.max_iterations)
+            .and_then(|matrix| matrix.sinkhorn_knopp(self.tolerance, self.max_iterations))
             .map_err(|err| BackboneError::UnsupportedGraph {
                 method: "doubly_stochastic",
                 message: err.to_string(),

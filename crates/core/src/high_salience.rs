@@ -26,8 +26,9 @@
 //!   counts accumulated directly by CSR edge id. Uniform-weight graphs take a
 //!   64-root batched BFS ([`UniformBfsBatch`]) that settles 64 trees per edge
 //!   sweep; weighted graphs take the per-root [`CsrDijkstra`], whose
-//!   frontier-bucketed queue replaces the heap's `O(log n)` sifts with `O(1)`
-//!   bucket pushes (both engines reproduce the exact heap pop order).
+//!   frontier-bucketed queue replaces most of a binary heap's `O(log n)`
+//!   sifts with `O(1)` bucket pushes. Both grow exactly the trees of the
+//!   adjacency-list [`dijkstra`].
 //! * **Parallel roots** — the root loop fans out across worker threads
 //!   (see `backboning_parallel`; override with `BACKBONING_THREADS`), each
 //!   worker accumulating integer salience counters that are merged exactly at
@@ -112,11 +113,11 @@ pub fn max_salience_error_bound(roots: usize, edge_count: usize, confidence: f64
 /// Accumulate per-edge shortest-path-tree membership counts over `roots`.
 ///
 /// Uniform-weight graphs batch [`UNIFORM_BFS_LANES`] roots per bit-parallel
-/// BFS sweep; weighted graphs run one bucketed Dijkstra per root. Both
-/// engines grow the same deterministic trees (strict-relaxation,
-/// lowest-entry-id parents), and both fan out over `threads` workers whose
-/// integer counters merge in worker order, so the counts are independent of
-/// the thread count and of which engine ran.
+/// BFS sweep; every other graph runs one [`CsrDijkstra`] per root. Both grow
+/// the trees of the adjacency-list [`dijkstra`] (strict-relaxation parents,
+/// ties popped by ascending node id), and both fan out over `threads` workers
+/// whose integer counters merge in worker order, so the counts are
+/// independent of the thread count and of which of the two ran.
 fn tree_membership_counts(
     csr: &CsrGraph,
     entry_distances: &EntryDistances,

@@ -13,9 +13,7 @@ use backboning::{
     BackboneExtractor, DisparityFilter, DoublyStochastic, HighSalienceSkeleton, NoiseCorrected,
     NoiseCorrectedBinomial,
 };
-use backboning_graph::algorithms::shortest_path::{
-    csr_dijkstra, csr_entry_distances, dijkstra, CsrDijkstra, DistanceTransform, SsspEngine,
-};
+use backboning_graph::algorithms::shortest_path::{csr_dijkstra, dijkstra, DistanceTransform};
 use backboning_graph::{CsrGraph, Direction, WeightedGraph};
 
 /// Strategy: a small random weighted graph of either direction, possibly with
@@ -156,36 +154,6 @@ proptest! {
                 .score_sampled_with_threads(&graph, roots, seed, threads)
                 .unwrap();
             prop_assert_eq!(&parallel, &reference);
-        }
-    }
-
-    /// The frontier-bucketed SSSP engine reproduces the binary-heap engine's
-    /// exact tree (reached set, distance bits, parents) from every root,
-    /// under every distance transform.
-    #[test]
-    fn bucketed_sssp_matches_heap_sssp(graph in random_graph()) {
-        let csr = CsrGraph::from_graph(&graph).unwrap();
-        for transform in [
-            DistanceTransform::Inverse,
-            DistanceTransform::NegativeLog,
-            DistanceTransform::Identity,
-        ] {
-            let entry_distances = csr_entry_distances(&csr, transform);
-            let mut heap = CsrDijkstra::with_engine(csr.node_count(), SsspEngine::BinaryHeap);
-            let mut bucketed = CsrDijkstra::with_engine(csr.node_count(), SsspEngine::Bucketed);
-            for source in graph.nodes() {
-                heap.run(&csr, &entry_distances, source);
-                bucketed.run(&csr, &entry_distances, source);
-                prop_assert_eq!(heap.reached(), bucketed.reached());
-                for node in graph.nodes() {
-                    prop_assert_eq!(
-                        heap.distance(node).to_bits(),
-                        bucketed.distance(node).to_bits()
-                    );
-                    prop_assert_eq!(heap.parent(node), bucketed.parent(node));
-                    prop_assert_eq!(heap.parent_entry(node), bucketed.parent_entry(node));
-                }
-            }
         }
     }
 }

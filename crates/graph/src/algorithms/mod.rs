@@ -22,7 +22,7 @@ pub mod union_find;
 
 pub use components::{connected_components, is_connected, largest_component_size};
 pub use kcore::{core_numbers, degeneracy, k_core_subgraph};
-pub use shortest_path::{dijkstra, shortest_path_tree, DistanceTransform, ShortestPathTree};
+pub use shortest_path::{dijkstra, DistanceTransform, ShortestPathTree};
 pub use spanning_tree::maximum_spanning_tree;
 pub use traversal::{breadth_first_order, depth_first_order};
 pub use union_find::UnionFind;

@@ -188,28 +188,26 @@ pub fn dijkstra(
     })
 }
 
-/// Precomputed transformed distances of every CSR adjacency entry, plus the
-/// structural flag steering [`CsrDijkstra`]'s fast path.
+/// Precomputed transformed distances of every CSR adjacency entry, plus what
+/// [`CsrDijkstra`] and [`UniformBfsBatch`] read off their distribution.
 #[derive(Debug, Clone)]
 pub struct EntryDistances {
     values: Vec<f64>,
     /// `Some(d)` when every *finite* entry distance equals `d` (and at least
     /// one entry is finite) — the case of uniform-weight and unweighted
     /// networks under any transform. Dijkstra then degenerates to
-    /// level-synchronous BFS, which [`CsrDijkstra::run`] exploits heap-free
-    /// with bit-identical output.
+    /// level-synchronous BFS, which [`UniformBfsBatch`] exploits with
+    /// bit-identical output.
     /// Equal distances of exactly `0.0` do NOT qualify: with a zero step
-    /// every level shares the same packed distance bits, so the heap pops
+    /// every level shares the same packed distance bits, so Dijkstra's pops
     /// interleave across levels by node id and level-synchronous processing
     /// would assign different parents.
     uniform: Option<f64>,
     /// Whether `uniform` covers *every* entry (no infinite distances at all),
     /// letting the BFS paths skip the per-entry distance check.
     uniform_total: bool,
-    /// Auto-tuned bucket width for [`BucketQueue`] (`None` when the
-    /// distribution offers nothing to bucket on: uniform distances, or no
-    /// finite positive distance at all).
-    bucket_width: Option<f64>,
+    /// Bucket width of [`CsrDijkstra`]'s queue (see [`Self::bucket_width`]).
+    bucket_width: f64,
 }
 
 impl EntryDistances {
@@ -229,12 +227,19 @@ impl EntryDistances {
         self.uniform_total
     }
 
-    /// The auto-tuned bucket width for the frontier-bucketed SSSP engine: the
-    /// 25th percentile of the finite positive entry distances (clamped from
-    /// below so the whole per-entry range spans a bounded number of buckets).
-    /// With that width at least three quarters of all relaxations jump past
-    /// the current bucket and cost `O(1)` ring pushes instead of heap sifts.
-    pub fn bucket_width(&self) -> Option<f64> {
+    /// The bucket width of [`CsrDijkstra`]'s frontier-bucketed queue,
+    /// always finite and positive:
+    ///
+    /// * the [`uniform`](Self::uniform) step, when there is one;
+    /// * otherwise the 25th percentile of the finite positive entry distances
+    ///   (clamped from below so the whole per-entry range spans a bounded
+    ///   number of buckets). With that width at least three quarters of all
+    ///   relaxations jump past the current bucket and cost `O(1)` ring pushes
+    ///   instead of heap sifts;
+    /// * otherwise `1.0`: no entry distance is finite and positive, so every
+    ///   reachable distance is zero, every key sits in bucket 0, and the
+    ///   queue's in-bucket heap orders them all.
+    pub fn bucket_width(&self) -> f64 {
         self.bucket_width
     }
 }
@@ -275,10 +280,9 @@ pub fn csr_entry_distances(csr: &CsrGraph, transform: DistanceTransform) -> Entr
         uniform = None;
     }
     let uniform_total = uniform.is_some() && !any_non_finite;
-    let bucket_width = if uniform.is_some() {
-        None
-    } else {
-        tuned_bucket_width(&values)
+    let bucket_width = match uniform {
+        Some(step) => step,
+        None => tuned_bucket_width(&values).unwrap_or(1.0),
     };
     EntryDistances {
         values,
@@ -291,7 +295,8 @@ pub fn csr_entry_distances(csr: &CsrGraph, transform: DistanceTransform) -> Entr
 /// Pick the [`BucketQueue`] width from the finite positive entry distances:
 /// their 25th percentile, clamped so the largest single entry distance spans
 /// at most 2^16 buckets (heavier tails only cost overflow redistributions,
-/// never correctness, but a bounded span keeps them rare).
+/// never correctness, but a bounded span keeps them rare). `None` when no
+/// entry distance is finite and positive.
 fn tuned_bucket_width(values: &[f64]) -> Option<f64> {
     let mut finite: Vec<f64> = values
         .iter()
@@ -310,20 +315,20 @@ fn tuned_bucket_width(values: &[f64]) -> Option<f64> {
 /// Sentinel for "no parent" in [`CsrDijkstra`]'s dense parent arrays.
 const NO_PARENT: usize = usize::MAX;
 
-/// A heap entry packed into one integer: distance bits in the high 64 bits,
-/// node id in the low 64.
-///
-/// All distances reaching the heap are finite and non-negative (they are sums
-/// of non-negative transformed edge distances, and `-0.0` cannot arise from
-/// `0.0 + x` with `x ≥ 0`), and for such floats the IEEE-754 bit pattern is
-/// monotone in the value. Popping the minimum packed key therefore yields
-/// exactly the ascending `(distance, node)` order of [`QueueEntry`]'s
-/// comparator — same pops, same relaxation order, same tree — while costing a
-/// single integer comparison per sift instead of a float/tie-break chain.
 /// Bit pattern of `f64::INFINITY` — the "unreached" marker in the packed
 /// distance array.
 const INFINITY_BITS: u64 = 0x7FF0_0000_0000_0000;
 
+/// A queue entry packed into one integer: distance bits in the high 64 bits,
+/// node id in the low 64.
+///
+/// All distances reaching the queue are finite and non-negative (they are
+/// sums of non-negative transformed edge distances, and `-0.0` cannot arise
+/// from `0.0 + x` with `x ≥ 0`), and for such floats the IEEE-754 bit pattern
+/// is monotone in the value. Popping the minimum packed key therefore yields
+/// exactly the ascending `(distance, node)` order of [`QueueEntry`]'s
+/// comparator — same pops, same relaxation order, same tree — while costing a
+/// single integer comparison instead of a float/tie-break chain.
 #[inline]
 fn pack_entry(distance_bits: u64, node: NodeId) -> u128 {
     (u128::from(distance_bits) << 64) | node as u128
@@ -332,55 +337,6 @@ fn pack_entry(distance_bits: u64, node: NodeId) -> u128 {
 #[inline]
 fn unpack_entry(key: u128) -> (u64, NodeId) {
     ((key >> 64) as u64, (key & u128::from(u64::MAX)) as usize)
-}
-
-/// A min-queue over packed `(distance bits, node)` keys.
-///
-/// Every key in the queue is unique — a strict relaxation can never re-insert
-/// a node at a distance it already holds — so any correct priority queue pops
-/// the same sequence (ascending key order); the binary heap over packed
-/// integers is simply the fastest safe implementation measured. A single
-/// `u128` comparison replaces the float-compare-plus-tie-break chain of
-/// [`QueueEntry`].
-#[derive(Debug, Clone, Default)]
-struct PackedMinHeap {
-    data: BinaryHeap<std::cmp::Reverse<u128>>,
-}
-
-impl PackedMinHeap {
-    fn clear(&mut self) {
-        self.data.clear();
-    }
-
-    #[inline]
-    fn push(&mut self, key: u128) {
-        self.data.push(std::cmp::Reverse(key));
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<u128> {
-        self.data.pop().map(|reverse| reverse.0)
-    }
-}
-
-/// The priority-queue interface shared by [`PackedMinHeap`] and
-/// [`BucketQueue`]. Both pop packed keys in exactly ascending order, so the
-/// relaxation loop is generic over the queue with bit-identical output.
-trait MinQueue {
-    fn push(&mut self, key: u128);
-    fn pop(&mut self) -> Option<u128>;
-}
-
-impl MinQueue for PackedMinHeap {
-    #[inline]
-    fn push(&mut self, key: u128) {
-        PackedMinHeap::push(self, key);
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<u128> {
-        PackedMinHeap::pop(self)
-    }
 }
 
 /// Number of future buckets directly addressable in [`BucketQueue`]'s ring.
@@ -396,8 +352,9 @@ const BUCKET_RING_WORDS: usize = BUCKET_RING / 64;
 /// buckets ahead wait in an overflow list that is redistributed when the
 /// window advances past them.
 ///
-/// **Pop order is exactly that of [`PackedMinHeap`]** — the property that
-/// keeps the SPT parents (and therefore every HSS salience bit) identical:
+/// **Pops come in exactly ascending key order** — the order of a plain
+/// binary heap over the same keys, and the property that keeps the SPT
+/// parents (and therefore every HSS salience bit) identical to [`dijkstra`]:
 ///
 /// * the bucket index is monotone in the key (a positive multiply and a
 ///   truncation preserve order, and the `as u64` saturation only merges
@@ -409,11 +366,12 @@ const BUCKET_RING_WORDS: usize = BUCKET_RING / 64;
 ///   guarantees no key ever lands in a bucket below the one being drained,
 ///   so draining buckets in ascending index yields globally ascending pops.
 ///
-/// The win over the heap is that the common case — a relaxation jumping past
-/// the current bucket — is an `O(1)` ring push instead of an `O(log n)` sift.
+/// Every key in the queue is unique — a strict relaxation can never
+/// re-insert a node at a distance it already holds — so that order is fully
+/// determined. The common case, a relaxation jumping past the current bucket,
+/// is an `O(1)` ring push instead of an `O(log n)` sift.
 #[derive(Debug, Clone)]
 struct BucketQueue {
-    width: f64,
     inv_width: f64,
     /// Bucket id currently being drained (through `current`).
     base: u64,
@@ -431,20 +389,17 @@ struct BucketQueue {
 
 impl BucketQueue {
     fn new(width: f64) -> Self {
-        assert!(
-            width.is_finite() && width > 0.0,
-            "bucket width must be positive"
-        );
-        BucketQueue {
-            width,
-            inv_width: width.recip(),
+        let mut queue = BucketQueue {
+            inv_width: 1.0,
             base: 0,
             current: BinaryHeap::new(),
             ring: vec![Vec::new(); BUCKET_RING],
             occupied: [0; BUCKET_RING_WORDS],
             overflow: Vec::new(),
             overflow_min: u64::MAX,
-        }
+        };
+        queue.reset(width);
+        queue
     }
 
     #[inline]
@@ -455,9 +410,15 @@ impl BucketQueue {
         (f64::from_bits((key >> 64) as u64) * self.inv_width) as u64
     }
 
-    /// Reset to an empty queue at bucket zero. Sparse: only slots the last
-    /// run left occupied are visited (a fully drained run leaves none).
-    fn clear(&mut self) {
+    /// Empty the queue and restart it at bucket zero with buckets `width`
+    /// wide. Sparse: only slots the last run left occupied are visited (a
+    /// fully drained run leaves none).
+    fn reset(&mut self, width: f64) {
+        assert!(
+            width.is_finite() && width > 0.0,
+            "bucket width must be positive"
+        );
+        self.inv_width = width.recip();
         self.current.clear();
         for (word_index, word) in self.occupied.iter_mut().enumerate() {
             let mut bits = *word;
@@ -534,10 +495,11 @@ impl BucketQueue {
         }
         true
     }
-}
 
-impl MinQueue for BucketQueue {
-    #[inline]
+    // With a plain `#[inline]` the relaxation loop calls this out of line,
+    // and 16-root hss-approx scoring on a 16k-node weighted graph measured
+    // about 3% slower (2-vCPU x86-64 VM).
+    #[inline(always)]
     fn push(&mut self, key: u128) {
         let bucket = self.bucket_of(key);
         if bucket <= self.base {
@@ -569,36 +531,19 @@ impl MinQueue for BucketQueue {
     }
 }
 
-/// Which priority queue drives [`CsrDijkstra`]'s general (non-uniform) path.
-///
-/// Both engines pop packed keys in exactly ascending order, so distances,
-/// parents and parent entries are bit-identical whichever is selected (pinned
-/// by the engine-parity tests and the adjacency parity proptests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SsspEngine {
-    /// Pick per run: the frontier-bucketed queue whenever the entry-distance
-    /// distribution yields a usable bucket width, the binary heap otherwise.
-    #[default]
-    Auto,
-    /// Always the packed-`u128` binary heap.
-    BinaryHeap,
-    /// The frontier-bucketed queue (falls back to the heap when no bucket
-    /// width can be tuned, e.g. all finite distances are zero).
-    Bucketed,
-}
-
 /// Reusable single-source shortest-path workspace over a [`CsrGraph`].
 ///
-/// The High Salience Skeleton runs one Dijkstra per node; allocating the
-/// distance/parent/heap structures per root dominated the seed implementation
-/// on small trees. This scratch allocates once and resets only the entries
-/// touched by the previous run, so consecutive roots on a sparse graph cost
-/// `O(reached · log reached)` with no allocation at all.
+/// The High Salience Skeleton runs one Dijkstra per root; allocating the
+/// distance/parent/queue structures per root dominated the seed
+/// implementation on small trees. This scratch allocates once and resets
+/// only the entries touched by the previous run, so consecutive roots on a
+/// sparse graph cost `O(reached · log reached)` with no allocation at all.
 ///
-/// The relaxation order, queue tie-breaking and floating-point operations are
-/// exactly those of [`dijkstra`] — for either [`SsspEngine`] — so for any
-/// root the resulting tree is bit-identical to the adjacency-list
-/// implementation (pinned by the parity test suite).
+/// Every run drives one frontier-bucketed queue, its buckets
+/// [`EntryDistances::bucket_width`] wide. Its pops, the relaxation order,
+/// the tie-breaking and the floating-point operations are exactly those of
+/// [`dijkstra`], so for any root the resulting tree is bit-identical to the
+/// adjacency-list implementation (pinned by the parity test suite).
 #[derive(Debug, Clone)]
 pub struct CsrDijkstra {
     /// Distance per node as an IEEE-754 bit pattern. All reachable distances
@@ -609,58 +554,35 @@ pub struct CsrDijkstra {
     parent_node: Vec<usize>,
     parent_entry: Vec<usize>,
     reached: Vec<NodeId>,
-    engine: SsspEngine,
-    heap: PackedMinHeap,
-    /// Lazily built when a run first takes the bucketed engine; reused (ring
-    /// allocations and all) across runs with the same width.
-    bucket: Option<BucketQueue>,
-    /// Frontier buffers of the uniform-distance (BFS) fast path.
-    current_level: Vec<NodeId>,
-    next_level: Vec<NodeId>,
+    /// Reused, ring allocations and all, across runs; each run sets its width.
+    queue: BucketQueue,
 }
 
 impl CsrDijkstra {
-    /// Allocate a workspace for graphs with `node_count` nodes, selecting the
-    /// queue engine automatically per run.
+    /// Allocate a workspace for graphs with `node_count` nodes.
     pub fn new(node_count: usize) -> Self {
-        Self::with_engine(node_count, SsspEngine::Auto)
-    }
-
-    /// Allocate a workspace pinned to a specific [`SsspEngine`].
-    pub fn with_engine(node_count: usize, engine: SsspEngine) -> Self {
         CsrDijkstra {
             distance_bits: vec![INFINITY_BITS; node_count],
             parent_node: vec![NO_PARENT; node_count],
             parent_entry: vec![NO_PARENT; node_count],
             reached: Vec::with_capacity(node_count),
-            engine,
-            heap: PackedMinHeap::default(),
-            bucket: None,
-            current_level: Vec::new(),
-            next_level: Vec::new(),
+            queue: BucketQueue::new(1.0),
         }
     }
 
     /// Sparse reset: undo only what the previous run touched.
-    fn reset(&mut self) {
+    fn reset(&mut self, bucket_width: f64) {
         for &node in &self.reached {
             self.distance_bits[node] = INFINITY_BITS;
             self.parent_node[node] = NO_PARENT;
             self.parent_entry[node] = NO_PARENT;
         }
         self.reached.clear();
-        self.heap.clear();
-        if let Some(bucket) = &mut self.bucket {
-            bucket.clear();
-        }
+        self.queue.reset(bucket_width);
     }
 
     /// Run Dijkstra from `source` over `csr`, using the precomputed
     /// [`csr_entry_distances`] as per-entry edge lengths.
-    ///
-    /// When the entry distances are uniform (unweighted or uniform-weight
-    /// networks) the run takes a heap-free level-synchronous BFS path; the
-    /// resulting tree is bit-identical either way (see [`EntryDistances`]).
     ///
     /// # Panics
     ///
@@ -669,114 +591,26 @@ impl CsrDijkstra {
     pub fn run(&mut self, csr: &CsrGraph, entry_distances: &EntryDistances, source: NodeId) {
         assert!(source < self.distance_bits.len(), "source out of bounds");
         assert!(entry_distances.values().len() >= csr.entry_count());
-        self.reset();
+        self.reset(entry_distances.bucket_width());
         self.distance_bits[source] = 0.0_f64.to_bits();
         self.reached.push(source);
-        if let Some(step) = entry_distances.uniform() {
-            self.run_uniform(csr, entry_distances.values(), step, source);
-        } else {
-            self.run_general(csr, entry_distances, source);
-        }
-    }
-
-    /// The general path: lazy-deletion Dijkstra over the engine's min-queue
-    /// (both queues pop the identical ascending key sequence, see
-    /// [`SsspEngine`]).
-    fn run_general(&mut self, csr: &CsrGraph, entry_distances: &EntryDistances, source: NodeId) {
-        let bucket_width = match self.engine {
-            SsspEngine::BinaryHeap => None,
-            SsspEngine::Auto | SsspEngine::Bucketed => entry_distances.bucket_width(),
-        };
         let CsrDijkstra {
             distance_bits,
             parent_node,
             parent_entry,
             reached,
-            heap,
-            bucket,
-            ..
+            queue,
         } = self;
-        if let Some(width) = bucket_width {
-            if bucket.as_ref().is_none_or(|queue| queue.width != width) {
-                *bucket = Some(BucketQueue::new(width));
-            }
-            let queue = bucket.as_mut().expect("bucket queue just ensured");
-            run_queue(
-                queue,
-                csr,
-                entry_distances.values(),
-                distance_bits,
-                parent_node,
-                parent_entry,
-                reached,
-                source,
-            );
-        } else {
-            run_queue(
-                heap,
-                csr,
-                entry_distances.values(),
-                distance_bits,
-                parent_node,
-                parent_entry,
-                reached,
-                source,
-            );
-        }
-    }
-
-    /// The uniform-distance path: Dijkstra with one finite edge length `step`
-    /// degenerates to BFS processed level by level.
-    ///
-    /// Output equivalence with [`Self::run_general`]: the heap would pop
-    /// nodes in ascending `(distance, node)` order, i.e. level by level and
-    /// by ascending node id within a level (every level-`k` node holds the
-    /// identical accumulated float `k·step`). Processing each sorted level in
-    /// order reproduces that relaxation order exactly, and the first-toucher
-    /// parent assignment matches the heap path's strict relaxation (a later
-    /// equal-distance candidate never replaces an earlier one). The level
-    /// distance accumulates as `previous + step` — the same float expression
-    /// the heap path evaluates — so distances are bit-identical too.
-    fn run_uniform(&mut self, csr: &CsrGraph, entry_distances: &[f64], step: f64, source: NodeId) {
-        let mut current = std::mem::take(&mut self.current_level);
-        let mut next = std::mem::take(&mut self.next_level);
-        current.clear();
-        next.clear();
-        current.push(source);
-        let mut level_distance = 0.0_f64;
-        while !current.is_empty() {
-            let next_distance = level_distance + step;
-            let next_bits = next_distance.to_bits();
-            for &node in &current {
-                let range = csr.entry_range(node);
-                let entry_base = range.start;
-                let targets = csr.neighbors(node);
-                let distances = &entry_distances[range];
-                for (slot, (&neighbor, &edge_distance)) in targets.iter().zip(distances).enumerate()
-                {
-                    let neighbor = neighbor as NodeId;
-                    // Non-finite entries (e.g. zero-weight edges under the
-                    // inverse transform) never relax.
-                    if edge_distance != step {
-                        continue;
-                    }
-                    if self.distance_bits[neighbor] == INFINITY_BITS {
-                        self.distance_bits[neighbor] = next_bits;
-                        self.parent_node[neighbor] = node;
-                        self.parent_entry[neighbor] = entry_base + slot;
-                        self.reached.push(neighbor);
-                        next.push(neighbor);
-                    }
-                }
-            }
-            // The heap path settles a level in ascending node order.
-            next.sort_unstable();
-            std::mem::swap(&mut current, &mut next);
-            next.clear();
-            level_distance = next_distance;
-        }
-        self.current_level = current;
-        self.next_level = next;
+        run_queue(
+            queue,
+            csr,
+            entry_distances.values(),
+            distance_bits,
+            parent_node,
+            parent_entry,
+            reached,
+            source,
+        );
     }
 
     /// Shortest distance from the current root to `node`.
@@ -809,12 +643,12 @@ impl CsrDijkstra {
     }
 }
 
-/// The engine-generic relaxation loop: lazy-deletion Dijkstra over any
-/// ascending-order [`MinQueue`]. Monomorphized per queue, so the heap path
-/// compiles to exactly the loop it was before the bucketed engine existed.
+/// The relaxation loop: lazy-deletion Dijkstra over the bucket queue. It
+/// takes the workspace as separate slices rather than `&mut CsrDijkstra`, so
+/// the compiler sees that they do not alias.
 #[allow(clippy::too_many_arguments)]
-fn run_queue<Q: MinQueue>(
-    queue: &mut Q,
+fn run_queue(
+    queue: &mut BucketQueue,
     csr: &CsrGraph,
     entry_distances: &[f64],
     distance_bits: &mut [u64],
@@ -870,15 +704,19 @@ pub const UNIFORM_BFS_LANES: usize = 64;
 /// mask and one `u64` undiscovered mask, and an edge scan settles it for all
 /// 64 lanes at once (`O(V · E / 64)` plus per-discovery bit work).
 ///
-/// **Output equivalence with the per-root paths** (pinned by the HSS parity
-/// proptests): every level processes its nodes in ascending node id — the
+/// **Output equivalence with Dijkstra** (pinned by the HSS parity
+/// proptests): with one nonzero finite step, Dijkstra pops nodes in ascending
+/// `(distance, node)` order, i.e. level by level and by ascending node id
+/// within a level (every level-`k` node holds the identical accumulated float
+/// `k·step`). Every level here processes its nodes in ascending node id — the
 /// union of the lanes' frontiers, sorted — and a lane's discoveries happen at
-/// exactly the (node, slot) position its own sorted-level BFS would visit,
-/// because nodes not in that lane's frontier contribute an empty lane mask.
-/// First discovery wins per lane (the undiscovered-mask test), which is the
-/// strict-relaxation parent rule of the heap path for uniform distances.
-/// Levels stay synchronized across lanes since every tree edge has the same
-/// step; distances are not materialized (no caller of the batch needs them).
+/// exactly the (node, slot) position of that lane's own relaxations, because
+/// nodes not in the lane's frontier contribute an empty lane mask. First
+/// discovery wins per lane (the undiscovered-mask test), which is Dijkstra's
+/// strict-relaxation parent rule: a later equal-distance candidate never
+/// replaces an earlier one. Levels stay synchronized across lanes since every
+/// tree edge has the same step; distances are not materialized (no caller of
+/// the batch needs them).
 #[derive(Debug, Clone)]
 pub struct UniformBfsBatch {
     /// Per node: lanes that hold the node in the current BFS level.
@@ -1036,18 +874,10 @@ pub fn csr_dijkstra(
     })
 }
 
-/// Convenience wrapper returning only the shortest-path tree edges rooted at
-/// `source` (the quantity the High Salience Skeleton superimposes).
-pub fn shortest_path_tree(
-    graph: &WeightedGraph,
-    source: NodeId,
-    transform: DistanceTransform,
-) -> GraphResult<Vec<(NodeId, NodeId)>> {
-    Ok(dijkstra(graph, source, transform)?.tree_edges())
-}
-
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
     use crate::graph::Direction;
 
@@ -1138,15 +968,6 @@ mod tests {
     fn invalid_source_is_rejected() {
         let g = detour_graph();
         assert!(dijkstra(&g, 10, DistanceTransform::Inverse).is_err());
-        assert!(shortest_path_tree(&g, 10, DistanceTransform::Inverse).is_err());
-    }
-
-    #[test]
-    fn shortest_path_tree_wrapper_matches_dijkstra() {
-        let g = detour_graph();
-        let tree = dijkstra(&g, 0, DistanceTransform::Inverse).unwrap();
-        let edges = shortest_path_tree(&g, 0, DistanceTransform::Inverse).unwrap();
-        assert_eq!(edges, tree.tree_edges());
     }
 
     #[test]
@@ -1249,8 +1070,10 @@ mod tests {
     #[test]
     fn zero_step_uniform_graphs_take_the_general_path() {
         // All-zero weights under the identity transform: every edge distance
-        // is 0.0, so all levels share one packed distance and the BFS path
-        // would assign different parents than the heap's by-node-id pops.
+        // is 0.0, so all levels share one packed distance and a
+        // level-synchronous BFS would assign different parents than
+        // Dijkstra's by-node-id pops. Such a graph is not uniform, and the
+        // queue orders every key in bucket 0.
         let mut g = WeightedGraph::with_nodes(Direction::Directed, 10);
         for (a, b) in [(0, 9), (0, 1), (1, 2), (2, 8), (9, 8)] {
             g.add_edge(a, b, 0.0).unwrap();
@@ -1270,7 +1093,8 @@ mod tests {
     #[test]
     fn uniform_fast_path_matches_adjacency_dijkstra() {
         // A unit-weight graph with branching, cycles, a zero-weight edge and a
-        // disconnected part, exercising the BFS fast path.
+        // disconnected part: the queue runs with the uniform step as its
+        // bucket width.
         let mut g = WeightedGraph::with_nodes(Direction::Undirected, 10);
         for (a, b) in [
             (0, 1),
@@ -1296,7 +1120,7 @@ mod tests {
         }
     }
 
-    /// Pseudo-random weighted graph for engine-parity checks.
+    /// Pseudo-random weighted graph for the weighted parity checks.
     fn scrambled_graph(nodes: usize, seed: u64) -> WeightedGraph {
         let mut g = WeightedGraph::with_nodes(Direction::Undirected, nodes);
         let mut state = seed | 1;
@@ -1318,6 +1142,11 @@ mod tests {
         g
     }
 
+    /// Drain `queue`, returning its pops in order.
+    fn drain(queue: &mut BucketQueue) -> Vec<u128> {
+        std::iter::from_fn(|| queue.pop()).collect()
+    }
+
     #[test]
     fn bucket_queue_pops_in_ascending_key_order() {
         // Keys with duplicate distances and scrambled pushes, over a width
@@ -1331,14 +1160,10 @@ mod tests {
             keys.push(pack_entry(distance.to_bits(), node));
         }
         for &key in &keys {
-            MinQueue::push(&mut queue, key);
+            queue.push(key);
         }
         keys.sort_unstable();
-        let mut popped = Vec::new();
-        while let Some(key) = MinQueue::pop(&mut queue) {
-            popped.push(key);
-        }
-        assert_eq!(popped, keys);
+        assert_eq!(drain(&mut queue), keys);
     }
 
     #[test]
@@ -1352,63 +1177,81 @@ mod tests {
             keys.push(pack_entry(distance.to_bits(), node));
         }
         for &key in &keys {
-            MinQueue::push(&mut queue, key);
+            queue.push(key);
         }
         keys.sort_unstable();
-        let mut popped = Vec::new();
-        while let Some(key) = MinQueue::pop(&mut queue) {
-            popped.push(key);
-        }
-        assert_eq!(popped, keys);
+        assert_eq!(drain(&mut queue), keys);
         // The queue is reusable after a full drain.
-        queue.clear();
-        MinQueue::push(&mut queue, pack_entry(1.0f64.to_bits(), 7));
-        assert_eq!(
-            MinQueue::pop(&mut queue),
-            Some(pack_entry(1.0f64.to_bits(), 7))
-        );
-        assert_eq!(MinQueue::pop(&mut queue), None);
+        queue.reset(1e-3);
+        queue.push(pack_entry(1.0f64.to_bits(), 7));
+        assert_eq!(queue.pop(), Some(pack_entry(1.0f64.to_bits(), 7)));
+        assert_eq!(queue.pop(), None);
     }
 
     #[test]
-    fn bucketed_engine_matches_heap_engine() {
-        let g = scrambled_graph(60, 42);
-        let csr = CsrGraph::from_graph(&g).unwrap();
-        for transform in [
-            DistanceTransform::Inverse,
-            DistanceTransform::NegativeLog,
-            DistanceTransform::Identity,
-        ] {
-            let entry_distances = csr_entry_distances(&csr, transform);
-            assert!(entry_distances.bucket_width().is_some());
-            let mut heap = CsrDijkstra::with_engine(csr.node_count(), SsspEngine::BinaryHeap);
-            let mut bucketed = CsrDijkstra::with_engine(csr.node_count(), SsspEngine::Bucketed);
-            for source in 0..csr.node_count() {
-                heap.run(&csr, &entry_distances, source);
-                bucketed.run(&csr, &entry_distances, source);
-                // Same pop order ⇒ same relaxation order ⇒ identical reached
-                // sequence, distances, parents and parent entries.
-                assert_eq!(heap.reached(), bucketed.reached(), "source {source}");
-                for node in 0..csr.node_count() {
-                    assert_eq!(
-                        heap.distance(node).to_bits(),
-                        bucketed.distance(node).to_bits()
-                    );
-                    assert_eq!(heap.parent(node), bucketed.parent(node));
-                    assert_eq!(heap.parent_entry(node), bucketed.parent_entry(node));
+    fn bucket_queue_matches_an_ordered_set_under_monotone_interleaving() {
+        // Dijkstra's use of the queue: pushes interleave with pops, and every
+        // pushed key is at or above the last popped one. Some pushes land in
+        // the current bucket, some in the ring, and some jump more than
+        // BUCKET_RING buckets ahead into the overflow list, which later
+        // pushes into the ring must not overtake once the window has slid.
+        // Every pop is checked against an ordered set of the pending keys.
+        for (width, seed) in [(1e-3, 1u64), (0.05, 2), (1.0, 3), (37.0, 4)] {
+            let mut queue = BucketQueue::new(width);
+            let mut oracle = BTreeSet::new();
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let mut floor = 0.0_f64;
+            let mut node = 0usize;
+            for pop in 0..6000 {
+                for _ in 0..(next() % 3) {
+                    let buckets = match next() % 8 {
+                        0 => 0.0,
+                        1..=4 => (next() % 64) as f64,
+                        5 | 6 => (next() % 900) as f64,
+                        _ => 1024.0 + (next() % 4096) as f64,
+                    };
+                    let fraction = (next() % 1000) as f64 / 1000.0;
+                    let distance = floor + (buckets + fraction) * width;
+                    let key = pack_entry(distance.to_bits(), node);
+                    node += 1;
+                    queue.push(key);
+                    oracle.insert(key);
+                }
+                let expected = oracle.pop_first();
+                assert_eq!(queue.pop(), expected, "width {width}, pop {pop}");
+                if let Some(key) = expected {
+                    floor = f64::from_bits(unpack_entry(key).0);
                 }
             }
+            while let Some(expected) = oracle.pop_first() {
+                assert_eq!(queue.pop(), Some(expected), "width {width}, drain");
+            }
+            assert_eq!(queue.pop(), None);
         }
     }
 
     #[test]
     fn auto_engine_matches_adjacency_on_weighted_graphs() {
-        let g = scrambled_graph(40, 7);
-        let csr = CsrGraph::from_graph(&g).unwrap();
-        for source in 0..g.node_count() {
-            let adjacency = dijkstra(&g, source, DistanceTransform::Inverse).unwrap();
-            let csr_tree = csr_dijkstra(&csr, source, DistanceTransform::Inverse).unwrap();
-            assert_eq!(adjacency, csr_tree, "source {source}");
+        for g in [scrambled_graph(40, 7), scrambled_graph(60, 42)] {
+            let csr = CsrGraph::from_graph(&g).unwrap();
+            for transform in [
+                DistanceTransform::Inverse,
+                DistanceTransform::NegativeLog,
+                DistanceTransform::Identity,
+            ] {
+                assert_eq!(csr_entry_distances(&csr, transform).uniform(), None);
+                for source in 0..g.node_count() {
+                    let adjacency = dijkstra(&g, source, transform).unwrap();
+                    let csr_tree = csr_dijkstra(&csr, source, transform).unwrap();
+                    assert_eq!(adjacency, csr_tree, "source {source}, {transform:?}");
+                }
+            }
         }
     }
 
@@ -1483,31 +1326,30 @@ mod tests {
 
     #[test]
     fn bucket_width_is_tuned_from_the_distance_distribution() {
-        // Uniform distances need no bucketing.
-        let mut unit = WeightedGraph::with_nodes(Direction::Undirected, 3);
-        unit.add_edge(0, 1, 1.0).unwrap();
-        unit.add_edge(1, 2, 1.0).unwrap();
-        let csr = CsrGraph::from_graph(&unit).unwrap();
+        // Uniform distances: the width is the step.
+        let mut uniform = WeightedGraph::with_nodes(Direction::Undirected, 3);
+        uniform.add_edge(0, 1, 2.0).unwrap();
+        uniform.add_edge(1, 2, 2.0).unwrap();
+        let csr = CsrGraph::from_graph(&uniform).unwrap();
         assert_eq!(
             csr_entry_distances(&csr, DistanceTransform::Inverse).bucket_width(),
-            None
+            0.5
         );
-        // All-zero distances (identity transform on zero weights) cannot be
-        // bucketed either: the general path falls back to the heap.
+        // All-zero distances (identity transform on zero weights) offer
+        // nothing to tune on: width 1.0 keeps every key in bucket 0.
         let mut zeros = WeightedGraph::with_nodes(Direction::Directed, 3);
         zeros.add_edge(0, 1, 0.0).unwrap();
         zeros.add_edge(1, 2, 0.0).unwrap();
         let csr = CsrGraph::from_graph(&zeros).unwrap();
         assert_eq!(
             csr_entry_distances(&csr, DistanceTransform::Identity).bucket_width(),
-            None
+            1.0
         );
         // A weighted graph yields a positive width no larger than the median
         // entry distance.
         let g = detour_graph();
         let csr = CsrGraph::from_graph(&g).unwrap();
-        let distances = csr_entry_distances(&csr, DistanceTransform::Inverse);
-        let width = distances.bucket_width().unwrap();
+        let width = csr_entry_distances(&csr, DistanceTransform::Inverse).bucket_width();
         assert!(width > 0.0 && width <= 1.0);
     }
 
@@ -1517,35 +1359,5 @@ mod tests {
         let tree = dijkstra(&g, 0, DistanceTransform::Inverse).unwrap();
         assert_eq!(tree.path_to(0), Some(vec![0]));
         assert_eq!(tree.distances[0], 0.0);
-    }
-}
-
-#[cfg(test)]
-mod review_repro {
-    use super::*;
-    use crate::{CsrGraph, Direction, WeightedGraph};
-
-    #[test]
-    fn review_overflow_interleaved_parity() {
-        // Chain 0-1-...-2999 with distance 1e-3 per edge (Identity), plus one
-        // long edge 0 -> 3000 with distance 2.0. Tuned width ~1e-3 puts the
-        // long edge ~2000 buckets ahead (> BUCKET_RING) -> overflow.
-        let n = 3002usize;
-        let mut g = WeightedGraph::with_nodes(Direction::Undirected, n);
-        for i in 0..2999 {
-            g.add_edge(i, i + 1, 1e-3).unwrap();
-        }
-        g.add_edge(0, 3000, 2.0).unwrap();
-        // A child of the overflow node: its discovery time exposes when the
-        // overflow key actually pops.
-        g.add_edge(3000, 3001, 1e-3).unwrap();
-        let csr = CsrGraph::from_graph(&g).unwrap();
-        let ed = csr_entry_distances(&csr, DistanceTransform::Identity);
-        eprintln!("bucket_width = {:?}", ed.bucket_width());
-        let mut heap = CsrDijkstra::with_engine(csr.node_count(), SsspEngine::BinaryHeap);
-        let mut bucketed = CsrDijkstra::with_engine(csr.node_count(), SsspEngine::Bucketed);
-        heap.run(&csr, &ed, 0);
-        bucketed.run(&csr, &ed, 0);
-        assert_eq!(heap.reached(), bucketed.reached(), "reached order parity");
     }
 }

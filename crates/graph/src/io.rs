@@ -9,10 +9,11 @@
 //! [`BufRead`] source (a file, stdin, a byte slice), so arbitrarily large
 //! edge lists are ingested without buffering the whole file or materializing
 //! an intermediate `Vec` of parsed lines. Parse failures report the offending
-//! source name and line number. A node name may not be empty, nor hold a
-//! tab or a carriage return, which the tab-separated writers could not
-//! carry back (both are possible only with an explicit separator). One
-//! byte-order mark (U+FEFF) leading the input is dropped.
+//! source name and line number. A data line holds two or three fields
+//! (`source target [weight]`); a fourth is an error. A node name may not be
+//! empty, nor hold a tab or a carriage return, which the tab-separated
+//! writers could not carry back (both are possible only with an explicit
+//! separator). One byte-order mark (U+FEFF) leading the input is dropped.
 //!
 //! Two families of readers share one parser:
 //!
@@ -95,8 +96,10 @@ impl EdgeListOptions {
 /// `(source, target, weight)` to `sink`, wrapping both parse failures and
 /// sink errors with `source_name` and the 1-based line number.
 ///
-/// One `String` is refilled for every line and only the first three fields
-/// are split off, so parsing a line allocates nothing. A leading U+FEFF
+/// One `String` is refilled for every line and at most four fields are
+/// split off, so parsing a line allocates nothing. A line with a fourth
+/// field is an error, not an edge that drops it: such a line is often a
+/// node name holding the separator, read in the wrong mode. A leading U+FEFF
 /// byte-order mark on line 1 is dropped. An empty source or target name
 /// (possible only with an explicit separator, as in `a,,3`) is an error
 /// rather than a node labelled `""`, and so is a name that
@@ -142,13 +145,20 @@ where
             continue;
         }
         let (fields, count) = match options.separator {
-            Some(separator) => first_three(trimmed.split(separator).map(str::trim)),
-            None => first_three(trimmed.split_whitespace()),
+            Some(separator) => first_four(trimmed.split(separator).map(str::trim)),
+            None => first_four(trimmed.split_whitespace()),
         };
         if count < 2 {
             return Err(GraphError::Io {
                 message: format!(
                     "{source_name}: line {line_number}: expected at least `source target`, got `{trimmed}`"
+                ),
+            });
+        }
+        if count > 3 {
+            return Err(GraphError::Io {
+                message: format!(
+                    "{source_name}: line {line_number}: expected at most `source target weight`, got `{trimmed}`"
                 ),
             });
         }
@@ -204,10 +214,10 @@ pub(crate) fn check_node_name(name: &str) -> Result<(), String> {
     ))
 }
 
-/// The first three items of `fields` and how many there were (at most 3);
-/// later items are never split off.
-fn first_three<'a>(fields: impl Iterator<Item = &'a str>) -> ([&'a str; 3], usize) {
-    let mut first = [""; 3];
+/// The first four items of `fields` and how many there were (at most 4, so
+/// 4 means "more than three"); later items are never split off.
+fn first_four<'a>(fields: impl Iterator<Item = &'a str>) -> ([&'a str; 4], usize) {
+    let mut first = [""; 4];
     let mut count = 0;
     for (slot, field) in first.iter_mut().zip(fields) {
         *slot = field;
@@ -218,10 +228,10 @@ fn first_three<'a>(fields: impl Iterator<Item = &'a str>) -> ([&'a str; 3], usiz
 
 /// Parse a weighted edge list from any reader.
 ///
-/// Each data line must contain `source target [weight]`; when the weight
-/// column is missing the edge gets weight 1. Node names are arbitrary
-/// non-empty strings and become node labels. Duplicate edges accumulate
-/// their weights.
+/// Each data line must contain `source target [weight]` and nothing more;
+/// when the weight column is missing the edge gets weight 1. Node names are
+/// arbitrary non-empty strings and become node labels. Duplicate edges
+/// accumulate their weights.
 ///
 /// Error messages use a generic source name; use [`read_edge_list_named`]
 /// (or [`read_edge_list_file`], which names the file automatically) to report
@@ -494,6 +504,31 @@ mod tests {
     fn malformed_lines_are_rejected() {
         assert!(read_edge_list_str("just_one_field\n", &EdgeListOptions::default()).is_err());
         assert!(read_edge_list_str("A B not_a_number\n", &EdgeListOptions::default()).is_err());
+    }
+
+    #[test]
+    fn a_fourth_field_is_refused_in_every_separator_mode() {
+        // `x\t5 6\t3` is what a CSV node name `5 6` becomes in TSV output;
+        // read back on whitespace it has four fields, not the edge `x 5`.
+        for (text, separator) in [
+            ("a b 1\na b 3 extra\n", None),
+            ("a b 1\nx\t5 6\t3\n", None),
+            ("a,b,1\na,b,3,extra\n", Some(',')),
+            ("a\tb\t1\na\tb\t3\textra\n", Some('\t')),
+        ] {
+            let options = EdgeListOptions {
+                separator,
+                ..Default::default()
+            };
+            let adjacency = read_edge_list_named(text.as_bytes(), &options, "in").unwrap_err();
+            let csr = read_edge_list_csr_named(text.as_bytes(), &options, "in").unwrap_err();
+            assert_eq!(adjacency, csr, "{text:?}");
+            let message = adjacency.to_string();
+            assert!(
+                message.contains("in: line 2: expected at most `source target weight`"),
+                "{message}"
+            );
+        }
     }
 
     #[test]

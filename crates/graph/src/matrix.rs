@@ -20,18 +20,38 @@ pub struct AdjacencyMatrix {
     values: Vec<f64>,
 }
 
+/// Reserve room for the `size × size` entries of a dense matrix, or fail with
+/// a structured error where `vec!` would abort the process: the entry count
+/// overflows `usize`, the byte size exceeds `isize::MAX`, or the allocator
+/// refuses the request.
+fn reserve_entries(size: usize) -> GraphResult<Vec<f64>> {
+    let mut values = Vec::new();
+    size.checked_mul(size)
+        .and_then(|len| values.try_reserve_exact(len).ok())
+        .ok_or_else(|| GraphError::InvalidParameter {
+            parameter: "matrix",
+            message: format!("cannot allocate the dense {size}×{size} matrix"),
+        })?;
+    Ok(values)
+}
+
 impl AdjacencyMatrix {
     /// Build the dense adjacency matrix of a graph (either representation).
-    pub fn from_graph<G: GraphView>(graph: &G) -> Self {
+    ///
+    /// Fails when the `V × V` matrix cannot be allocated (see
+    /// [`GraphError::InvalidParameter`]); a graph of 50,000 nodes asks for
+    /// 20 GB.
+    pub fn from_graph<G: GraphView>(graph: &G) -> GraphResult<Self> {
         let size = graph.node_count();
-        let mut values = vec![0.0; size * size];
+        let mut values = reserve_entries(size)?;
+        values.resize(size * size, 0.0);
         for edge in graph.edges() {
             values[edge.source * size + edge.target] = edge.weight;
             if graph.direction() == Direction::Undirected {
                 values[edge.target * size + edge.source] = edge.weight;
             }
         }
-        AdjacencyMatrix { size, values }
+        Ok(AdjacencyMatrix { size, values })
     }
 
     /// Matrix dimension (number of nodes).
@@ -82,11 +102,11 @@ impl AdjacencyMatrix {
     /// both row and column sums are within `tolerance` of one, or fail after
     /// `max_iterations` sweeps.
     ///
-    /// Fails when a row or column is entirely zero, or when the iteration does
-    /// not converge — the paper notes (citing Sinkhorn 1964) that not every
-    /// square non-negative matrix admits a doubly-stochastic scaling, which is
-    /// why the Doubly-Stochastic backbone is "n/a" for some networks in
-    /// Tables and Figures.
+    /// Fails when the working copy cannot be allocated, when a row or column
+    /// is entirely zero, or when the iteration does not converge — the paper
+    /// notes (citing Sinkhorn 1964) that not every square non-negative matrix
+    /// admits a doubly-stochastic scaling, which is why the Doubly-Stochastic
+    /// backbone is "n/a" for some networks in Tables and Figures.
     pub fn sinkhorn_knopp(
         &self,
         tolerance: f64,
@@ -120,7 +140,9 @@ impl AdjacencyMatrix {
             }
         }
 
-        let mut work = self.clone();
+        let mut values = reserve_entries(n)?;
+        values.extend_from_slice(&self.values);
+        let mut work = AdjacencyMatrix { size: n, values };
         for _ in 0..max_iterations {
             // Normalise rows.
             for row in 0..n {
@@ -170,7 +192,7 @@ mod tests {
         let mut g = WeightedGraph::with_nodes(Direction::Directed, 3);
         g.add_edge(0, 1, 2.0).unwrap();
         g.add_edge(2, 0, 3.0).unwrap();
-        let m = AdjacencyMatrix::from_graph(&g);
+        let m = AdjacencyMatrix::from_graph(&g).unwrap();
         assert_eq!(m.size(), 3);
         assert_eq!(m.get(0, 1), 2.0);
         assert_eq!(m.get(1, 0), 0.0);
@@ -184,7 +206,7 @@ mod tests {
         let mut g = WeightedGraph::with_nodes(Direction::Undirected, 3);
         g.add_edge(0, 1, 2.0).unwrap();
         g.add_edge(1, 2, 5.0).unwrap();
-        let m = AdjacencyMatrix::from_graph(&g);
+        let m = AdjacencyMatrix::from_graph(&g).unwrap();
         assert_eq!(m.get(0, 1), m.get(1, 0));
         assert_eq!(m.get(1, 2), m.get(2, 1));
     }
@@ -194,7 +216,7 @@ mod tests {
         let mut g = WeightedGraph::with_nodes(Direction::Directed, 3);
         g.add_edge(0, 1, 2.0).unwrap();
         g.add_edge(1, 2, 3.0).unwrap();
-        let m = AdjacencyMatrix::from_graph(&g);
+        let m = AdjacencyMatrix::from_graph(&g).unwrap();
         let entries: Vec<_> = m.non_zero_entries().collect();
         assert_eq!(entries.len(), 2);
         assert!(entries.contains(&(0, 1, 2.0)));
@@ -210,7 +232,7 @@ mod tests {
                 g.add_edge(i, j, (1 + i + 2 * j) as f64).unwrap();
             }
         }
-        let m = AdjacencyMatrix::from_graph(&g);
+        let m = AdjacencyMatrix::from_graph(&g).unwrap();
         let ds = m.sinkhorn_knopp(1e-9, 1000).unwrap();
         for i in 0..3 {
             assert!((ds.row_sum(i) - 1.0).abs() < 1e-6);
@@ -225,7 +247,7 @@ mod tests {
         g.add_edge(0, 1, 1.0).unwrap();
         g.add_edge(1, 0, 1.0).unwrap();
         g.add_edge(1, 1, 1.0).unwrap();
-        let m = AdjacencyMatrix::from_graph(&g);
+        let m = AdjacencyMatrix::from_graph(&g).unwrap();
         let ds = m.sinkhorn_knopp(1e-9, 100).unwrap();
         assert!(ds.get(0, 0) > 0.0);
         assert!((ds.get(0, 0) - 0.5).abs() < 1e-6);
@@ -238,14 +260,26 @@ mod tests {
         g.add_edge(0, 1, 1.0).unwrap();
         g.add_edge(1, 2, 1.0).unwrap();
         g.add_edge(0, 2, 1.0).unwrap();
-        let m = AdjacencyMatrix::from_graph(&g);
+        let m = AdjacencyMatrix::from_graph(&g).unwrap();
         assert!(m.sinkhorn_knopp(1e-9, 100).is_err());
+    }
+
+    #[test]
+    fn unallocatable_matrices_are_refused_not_aborted() {
+        // (2^30)² f64 entries take 2^63 bytes, past `isize::MAX`;
+        // `usize::MAX`² entries overflow `usize` itself. Neither may reach
+        // the allocator's abort path.
+        for size in [1usize << 30, usize::MAX] {
+            let err = reserve_entries(size).unwrap_err();
+            assert!(err.to_string().contains("cannot allocate"), "{err}");
+        }
+        assert_eq!(reserve_entries(3).unwrap().capacity(), 9);
     }
 
     #[test]
     fn sinkhorn_rejects_empty_matrix() {
         let g = WeightedGraph::directed();
-        let m = AdjacencyMatrix::from_graph(&g);
+        let m = AdjacencyMatrix::from_graph(&g).unwrap();
         assert!(m.sinkhorn_knopp(1e-9, 100).is_err());
     }
 }

@@ -314,6 +314,22 @@ fn not_found_and_bad_request_paths() {
         assert_eq!(get(&server, "/graphs/tabbed").0, 404);
     }
 
+    // A line with a fourth field is refused in either separator mode, not
+    // registered as an edge that drops it.
+    for (query, body) in [
+        ("", "a b 1\na b 3 extra\n"),
+        ("?separator=,", "a,b,1\na,b,3,x\n"),
+    ] {
+        let (status, response) = post(&server, &format!("/graphs/four{query}"), body);
+        assert_eq!(status, 400, "{body:?}");
+        let err = text(&response);
+        assert!(
+            err.contains("<upload four>: line 2: expected at most `source target weight`"),
+            "{err}"
+        );
+        assert_eq!(get(&server, "/graphs/four").0, 404);
+    }
+
     // Invalid graph names are rejected before parsing.
     let (status, _) = post(&server, "/graphs/..", "a b 1\n");
     assert_eq!(status, 400);
