@@ -102,6 +102,33 @@ DS_STATUS=0
 cleanup_ds
 trap - EXIT
 
+echo "==> policy smoke: an out-of-range share is refused for every method"
+# MST keeps a fixed edge set whatever the share, so without the check it
+# printed its spanning tree for `--top-share 7` and exited 0.
+MST_STATUS=0
+./target/release/backbone -m mst --top-share 7 --undirected docs/examples/trade.tsv \
+    >/dev/null 2>&1 || MST_STATUS=$?
+[ "$MST_STATUS" = "1" ]
+
+echo "==> hub smoke: one PATCH reweighting every edge of a 160k-leaf star (10 s budget)"
+# Resolving the batch reads each adjacency row at most twice and writing
+# the weights rewrites each touched row once, so the batch costs the hub's
+# degree, not its square, undirected (leaf rows) and directed (hub row).
+HUB_TSV=$(mktemp --suffix .tsv)
+HUB_DELTA=$(mktemp --suffix .tsv)
+HUB_OUT=$(mktemp --suffix .tsv)
+cleanup_hub() { rm -f "$HUB_TSV" "$HUB_DELTA" "$HUB_OUT"; }
+trap cleanup_hub EXIT
+seq 1 160000 | awk '{ print "0\t" $1 "\t1" }' > "$HUB_TSV"
+seq 1 160000 | awk '{ print "reweight 0 " $1 " 2" }' > "$HUB_DELTA"
+for HUB_DIRECTION in --undirected --directed; do
+    timeout 10 ./target/release/backbone patch "$HUB_DELTA" "$HUB_TSV" "$HUB_DIRECTION" \
+        > "$HUB_OUT"
+    [ "$(awk '!/^#/ && $3 == 2' "$HUB_OUT" | wc -l)" = "160000" ]
+done
+cleanup_hub
+trap - EXIT
+
 echo "==> timings smoke: --timings prints a stage table to stderr only"
 TIMINGS_OUT=$(./target/release/backbone --method nc --top-k 5 --undirected --timings \
     -o summary docs/examples/trade.tsv 2>/dev/null)
@@ -242,6 +269,15 @@ COMPARE_SERVER=$(curl -sf "${SERVE_URL}/graphs/trade/compare")
 COMPARE_CACHED=$(curl -sf "${SERVE_URL}/graphs/trade/compare")
 [ "$COMPARE_SERVER" = "$COMPARE_CACHED" ]
 
+# A refused policy value runs no scoring pass: the scored-cache counters
+# in /health do not move.
+SCORED_BEFORE=$(curl -sf "${SERVE_URL}/health" | grep -o '"scored": { [^}]*}')
+POLICY_STATUS=$(curl -s -o /dev/null -w '%{http_code}' \
+    "${SERVE_URL}/graphs/trade/backbone?method=hss&top_share=7")
+[ "$POLICY_STATUS" = "400" ]
+SCORED_AFTER=$(curl -sf "${SERVE_URL}/health" | grep -o '"scored": { [^}]*}')
+[ "$SCORED_BEFORE" = "$SCORED_AFTER" ]
+
 # Observability smoke: /metrics serves both formats and reports nonzero
 # graph and score-cache memory (the nc query above cached a score set),
 # /health exposes the cache counters, and a concurrent loadtest burst
@@ -280,7 +316,8 @@ PATCH_RESP=$(curl -sf -X PATCH --data-binary @"$PATCH_DELTA" "${SERVE_URL}/graph
 echo "$PATCH_RESP" | grep -q '"generation": 1'
 echo "$PATCH_RESP" | grep -q '"applied": { "added": 1, "removed": 1, "reweighted": 1 }'
 echo "$PATCH_RESP" | grep -q '"rescored_methods": \["nc"\]'
-./target/release/backbone patch "$PATCH_DELTA" "$PATCH_TSV" --undirected > "$PATCH_OUT"
+./target/release/backbone patch "$PATCH_DELTA" "$PATCH_TSV" --undirected --verify \
+    > "$PATCH_OUT"
 # The PATCH rescores nc without ranking it. The first rank-based read
 # below builds the patched scores' rank order; every later read, the
 # second of each pair included, is a prefix of it. Each read must be the
@@ -301,6 +338,43 @@ PATCH_FRESH=$(./target/release/backbone --method nc --top-share 0.1 --undirected
 [ "$PATCH_AFTER" = "$PATCH_FRESH" ]
 curl -sf -X DELETE "${SERVE_URL}/graphs/patch-smoke" >/dev/null
 rm -f "$PATCH_TSV" "$PATCH_DELTA" "$PATCH_OUT" "$PATCH_SERVED" "$PATCH_ONESHOT"
+trap cleanup_server EXIT
+
+# Directed PATCH round: every third edge is also served reversed, so the
+# first line `x y` and the second `y x` are distinct edges. The delta
+# reweights `x y`, removes the third line's edge and adds an edge to a new
+# node; the served read must be the bytes of a one-shot CLI run on the
+# offline-patched file.
+DIR_TSV=$(mktemp --suffix .tsv)
+DIR_DELTA=$(mktemp --suffix .tsv)
+DIR_OUT=$(mktemp --suffix .tsv)
+DIR_SERVED=$(mktemp --suffix .tsv)
+DIR_ONESHOT=$(mktemp --suffix .tsv)
+cleanup_directed() {
+    rm -f "$DIR_TSV" "$DIR_DELTA" "$DIR_OUT" "$DIR_SERVED" "$DIR_ONESHOT"
+    cleanup_server
+}
+trap cleanup_directed EXIT
+./target/release/backbone gen 'ba:n=500,m=3,w=powerlaw(2.5),noise=0.1,seed=4242' \
+    | awk 'BEGIN { OFS = "\t" } /^#/ { next } { print; if (n++ % 3 == 0) print $2, $1, $3 + 1 }' \
+    > "$DIR_TSV"
+read -r DIR_X DIR_Y _ < "$DIR_TSV"
+[ "$(sed -n 2p "$DIR_TSV" | cut -f1,2)" = "$(printf '%s\t%s' "$DIR_Y" "$DIR_X")" ]
+read -r DIR_GONE_X DIR_GONE_Y _ < <(sed -n 3p "$DIR_TSV")
+printf 'reweight %s %s 40\nremove %s %s\nadd %s fresh 5\n' \
+    "$DIR_X" "$DIR_Y" "$DIR_GONE_X" "$DIR_GONE_Y" "$DIR_Y" > "$DIR_DELTA"
+curl -sf -X POST --data-binary @"$DIR_TSV" "${SERVE_URL}/graphs/patch-directed?direction=directed" \
+    | grep -q '"direction": "directed"'
+curl -sf "${SERVE_URL}/graphs/patch-directed/backbone?method=nc&top_k=40" >/dev/null
+curl -sf -X PATCH --data-binary @"$DIR_DELTA" "${SERVE_URL}/graphs/patch-directed" \
+    | grep -q '"applied": { "added": 1, "removed": 1, "reweighted": 1 }'
+./target/release/backbone patch "$DIR_DELTA" "$DIR_TSV" > "$DIR_OUT"
+./target/release/backbone --method nc --top-k 40 "$DIR_OUT" > "$DIR_ONESHOT"
+curl -sf "${SERVE_URL}/graphs/patch-directed/backbone?method=nc&top_k=40" > "$DIR_SERVED"
+[ "$(wc -l < "$DIR_ONESHOT")" -gt 40 ]
+cmp "$DIR_SERVED" "$DIR_ONESHOT"
+curl -sf -X DELETE "${SERVE_URL}/graphs/patch-directed" >/dev/null
+rm -f "$DIR_TSV" "$DIR_DELTA" "$DIR_OUT" "$DIR_SERVED" "$DIR_ONESHOT"
 trap cleanup_server EXIT
 
 # Churn soak: race concurrent PATCH writers against backbone readers and

@@ -717,8 +717,8 @@ where
                 let name = value_for(&arg)?;
                 method = Some(Method::parse(&name).ok_or_else(|| {
                     usage_error(format!(
-                        "unknown method `{name}` (expected one of: nc, ncb, df, hss, \
-                         hss-approx, ds, mst, naive)"
+                        "unknown method `{name}` (expected one of: {})",
+                        Method::NAMES
                     ))
                 })?);
             }
@@ -799,6 +799,8 @@ where
 /// The input is streamed line by line — from the named file, or from stdin
 /// when no path was given — so the full edge list is never buffered.
 pub fn execute(config: &CliConfig, out: &mut dyn Write) -> Result<(), String> {
+    // Refuse an invalid policy before reading any input.
+    config.policy.validate().map_err(|e| e.to_string())?;
     // Parse straight into the compact u32/CSR core: the pipeline is generic
     // over both representations with bit-identical output, and the CSR form
     // is what keeps million-edge runs inside a laptop's memory.

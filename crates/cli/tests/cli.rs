@@ -264,6 +264,44 @@ fn missing_file_fails_with_named_path_and_exit_1() {
 }
 
 #[test]
+fn invalid_policy_values_exit_1_for_every_method_before_reading_input() {
+    // The input file does not exist: the policy is refused first.
+    for (args, needle) in [
+        (
+            &["-m", "mst", "--top-share", "7", "--undirected"][..],
+            "`top_share`",
+        ),
+        (&["-m", "nc", "--top-share", "7"][..], "`top_share`"),
+        (&["-m", "ds", "--coverage", "-3"][..], "`coverage`"),
+        (&["-m", "naive", "--threshold", "nan"][..], "`threshold`"),
+    ] {
+        let mut args = args.to_vec();
+        args.push("/no/such/file.tsv");
+        let output = run_with_stdin(&args, None);
+        assert_eq!(output.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&output.stderr);
+        assert!(err.contains(needle), "{args:?}: {err}");
+        assert!(!err.contains("/no/such/file.tsv"), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn unknown_methods_are_answered_with_every_name() {
+    for args in [
+        &["-m", "zz", "--top-k", "1"][..],
+        &["compare", "--methods", "zz"][..],
+    ] {
+        let output = run_with_stdin(args, Some(""));
+        assert_eq!(output.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            err.contains("(expected one of: nc, ncb, df, hss, hss-approx, ds, mst, naive"),
+            "{args:?}: {err}"
+        );
+    }
+}
+
+#[test]
 fn usage_errors_exit_2_and_hint_at_help() {
     for args in [
         &["--top-k", "2"][..],

@@ -1,7 +1,7 @@
 //! Exact incremental rescoring after a batched graph patch.
 //!
 //! When a served graph mutates (edges added, removed or reweighted through
-//! the [`backboning_graph::delta`] overlay), recomputing every method from
+//! [`backboning_graph::delta`]), recomputing every method from
 //! scratch throws away almost all of the previous work: for the
 //! locally-defined measures, an edge's score depends only on its own weight
 //! and its endpoints' strengths and degrees. This module exploits that with
@@ -10,8 +10,8 @@
 //! — the results are bit-identical to from-scratch scoring on the patched
 //! graph, not an approximation (pinned by the churn-parity proptest suite).
 //!
-//! Why exactness holds: the overlay's compaction keeps surviving edges in
-//! their original relative order and appends additions at the end, so every
+//! Why exactness holds: the patched graph keeps surviving edges in their
+//! original relative order and appends additions at the end, so every
 //! *untouched* node's adjacency row lists the same weights in the same
 //! ascending-edge-id order as before — its strength sum accumulates in the
 //! same order and keeps identical `f64` bits. Touched edges are rescored
@@ -89,7 +89,7 @@ fn invalid(message: String) -> BackboneError {
 }
 
 /// Update `previous` (scores of the pre-patch graph) to `graph` (the
-/// patched, compacted CSR), given the [`PatchEffect`] the overlay reported
+/// patched CSR), given the [`PatchEffect`] [`DeltaGraph::apply`] reported
 /// for the batch. The result is bit-identical to
 /// `method.score_with_threads(graph, threads)`; sublinear for
 /// [`EdgeLocal`](DeltaStrategy::EdgeLocal) and
@@ -262,25 +262,15 @@ pub fn delta_rescore_all(
 
 /// Apply a parsed delta batch to a compact graph and return the patched
 /// graph together with the effect — the one-call form used by offline
-/// tools. The overlay round-trip preserves bit-identical summation order
-/// (see [`DeltaGraph::to_csr`]).
+/// tools. The patched graph keeps the summation order, and so the bits, of
+/// a from-scratch build (see [`DeltaGraph::apply`]).
 pub fn apply_batch(
     graph: &CsrGraph,
     batch: &backboning_graph::DeltaBatch,
 ) -> BackboneResult<(CsrGraph, PatchEffect)> {
     let mut delta = DeltaGraph::from_csr(graph);
     let effect = delta.apply(batch)?;
-    let patched = if effect.structure_changed {
-        delta.to_csr()?
-    } else {
-        let updates: Vec<(usize, f64)> = effect
-            .changed_edges
-            .iter()
-            .map(|&id| (id, delta.edge_weight(id).expect("changed edge is live")))
-            .collect();
-        graph.with_reweighted_edges(&updates)?
-    };
-    Ok((patched, effect))
+    Ok((delta.into_csr(), effect))
 }
 
 #[cfg(test)]

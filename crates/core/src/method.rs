@@ -194,6 +194,9 @@ impl Method {
         }
     }
 
+    /// The CLI names [`Method::parse`] accepts, as error messages list them.
+    pub const NAMES: &'static str = "nc, ncb, df, hss, hss-approx, ds, mst, naive";
+
     /// Parse a method name, case-insensitively. Accepts the CLI names
     /// (`nc`, `ncb`, `df`, `hss`, `hss-approx`, `ds`, `mst`, `naive`), the
     /// table legends (`NT`, …) and a few spelled-out aliases
@@ -421,6 +424,20 @@ mod tests {
         );
         assert_eq!(Method::parse("DISPARITY"), Some(Method::DisparityFilter));
         assert_eq!(Method::parse("bogus"), None);
+    }
+
+    #[test]
+    fn names_lists_every_cli_name_once() {
+        let names: Vec<&str> = Method::NAMES.split(", ").collect();
+        let mut cli_names: Vec<&str> = Method::every().iter().map(Method::cli_name).collect();
+        cli_names.push(Method::hss_approx_default().cli_name());
+        assert_eq!(names.len(), cli_names.len());
+        for name in cli_names {
+            assert!(names.contains(&name), "{name}");
+        }
+        for name in names {
+            assert_eq!(Method::parse(name).map(|m| m.cli_name()), Some(name));
+        }
     }
 
     #[test]

@@ -91,6 +91,26 @@ impl ThresholdPolicy {
             ThresholdPolicy::Coverage(c) => *c,
         }
     }
+
+    /// Check the policy's parameter, whatever the method: a threshold may
+    /// not be NaN, and a top share or a coverage target lies in `[0, 1]`.
+    /// [`Pipeline::select`] runs this first; the CLI and the server run it
+    /// before any input is read or scored.
+    pub fn validate(&self) -> BackboneResult<()> {
+        let (parameter, message) = match *self {
+            ThresholdPolicy::Score(threshold) if threshold.is_nan() => {
+                ("threshold", "must be a number, got NaN".to_string())
+            }
+            ThresholdPolicy::TopShare(share) if !(0.0..=1.0).contains(&share) => {
+                ("top_share", format!("must lie in [0, 1], got {share}"))
+            }
+            ThresholdPolicy::Coverage(target) if !(0.0..=1.0).contains(&target) => {
+                ("coverage", format!("must lie in [0, 1], got {target}"))
+            }
+            _ => return Ok(()),
+        };
+        Err(BackboneError::InvalidParameter { parameter, message })
+    }
 }
 
 impl std::fmt::Display for ThresholdPolicy {
@@ -195,12 +215,15 @@ impl Pipeline {
     /// regardless of the requested size — their backbone is a single edge set,
     /// which is how the paper compares them. The fixed set is derived from the
     /// already-computed scores, so the expensive scoring pass never runs
-    /// twice. The `Score` policy always thresholds the scores directly.
+    /// twice. The `Score` policy always thresholds the scores directly. An
+    /// invalid policy ([`ThresholdPolicy::validate`]) is refused for every
+    /// method.
     pub fn select<G: GraphView>(
         &self,
         graph: &G,
         scored: &ScoredEdges,
     ) -> BackboneResult<Vec<usize>> {
+        self.policy.validate()?;
         if !matches!(self.policy, ThresholdPolicy::Score(_)) {
             if let Some(fixed) = self.method.fixed_edge_set_from_scores(graph, scored) {
                 return Ok(fixed);
@@ -210,7 +233,7 @@ impl Pipeline {
             ThresholdPolicy::Score(threshold) => Ok(scored.filter(threshold)),
             ThresholdPolicy::TopK(k) => Ok(scored.top_k(k)),
             ThresholdPolicy::TopShare(share) => scored.top_share(share),
-            ThresholdPolicy::Coverage(target) => coverage_prefix(graph, scored, target),
+            ThresholdPolicy::Coverage(target) => Ok(coverage_prefix(graph, scored, target)),
         }
     }
 
@@ -380,22 +403,13 @@ pub struct StageTimings {
 }
 
 /// The smallest score-ranked prefix of edges whose node coverage reaches
-/// `target`, in ranking order. It walks the full [`ScoredEdges::ranked`]
-/// order, building it if it does not exist yet.
-fn coverage_prefix<G: GraphView>(
-    graph: &G,
-    scored: &ScoredEdges,
-    target: f64,
-) -> BackboneResult<Vec<usize>> {
-    if !(0.0..=1.0).contains(&target) {
-        return Err(BackboneError::InvalidParameter {
-            parameter: "coverage",
-            message: format!("must lie in [0, 1], got {target}"),
-        });
-    }
+/// `target` (in `[0, 1]`, checked by [`ThresholdPolicy::validate`]), in
+/// ranking order. It walks the full [`ScoredEdges::ranked`] order,
+/// building it if it does not exist yet.
+fn coverage_prefix<G: GraphView>(graph: &G, scored: &ScoredEdges, target: f64) -> Vec<usize> {
     let original_connected = graph.non_isolated_node_count();
     if target == 0.0 || original_connected == 0 {
-        return Ok(Vec::new());
+        return Vec::new();
     }
     let mut covered = vec![false; graph.node_count()];
     let mut covered_count = 0usize;
@@ -411,12 +425,12 @@ fn coverage_prefix<G: GraphView>(
             }
         }
         if covered_count as f64 / original_connected as f64 >= target - 1e-12 {
-            return Ok(kept);
+            return kept;
         }
     }
     // The full edge set covers every non-isolated node, so this is only
     // reachable through floating-point slack; keep everything.
-    Ok(kept)
+    kept
 }
 
 /// The result of one [`Pipeline::run`]: scores, kept edge ids and run

@@ -146,7 +146,10 @@ pub fn parse_method_list(spec: &str) -> Result<Vec<Method>, String> {
             return Err(format!("empty method name in `{spec}`"));
         }
         let method = Method::parse(name).ok_or_else(|| {
-            format!("unknown method `{name}` (expected one of: nc, ncb, df, hss, ds, mst, naive, or `all`)")
+            format!(
+                "unknown method `{name}` (expected one of: {}, or `all`)",
+                Method::NAMES
+            )
         })?;
         if methods.contains(&method) {
             return Err(format!(

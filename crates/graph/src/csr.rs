@@ -7,7 +7,7 @@
 //! several hundred in the adjacency-map [`WeightedGraph`], which remains as a
 //! mutable builder/compat shim for small graphs. The node labels live in one
 //! [`LabelTable`] shared behind an `Arc`, so a clone, a reweighted copy
-//! ([`CsrGraph::with_reweighted_edges`]) or a PATCH compaction that adds no
+//! ([`CsrGraph::with_reweighted_edges`]) or a PATCH generation that adds no
 //! node never copies the labels.
 //!
 //! Structure invariants (shared with [`WeightedGraph`], pinned by the parity
@@ -160,9 +160,11 @@ impl CsrGraph {
     /// `(edge id, new weight)` pairs. Structure (node ids, edge ids,
     /// adjacency order) is untouched, so the result is bit-identical to
     /// rebuilding the graph from the reweighted edge list. The copy shares
-    /// this graph's label table.
+    /// this graph's label table. Each adjacency row an update touches is
+    /// rewritten once, however many of its edges change.
     pub fn with_reweighted_edges(&self, updates: &[(usize, f64)]) -> GraphResult<CsrGraph> {
         let mut graph = self.clone();
+        let mut rows = Vec::with_capacity(2 * updates.len());
         for &(edge, weight) in updates {
             if !weight.is_finite() || weight < 0.0 {
                 return Err(GraphError::InvalidWeight { weight });
@@ -177,19 +179,16 @@ impl CsrGraph {
                 });
             }
             graph.edge_weights[edge] = weight;
-            let source = graph.edge_sources[edge] as usize;
-            let target = graph.edge_targets[edge] as usize;
-            let mut rows = vec![source];
-            if graph.direction == Direction::Undirected && source != target {
-                rows.push(target);
+            rows.push(graph.edge_sources[edge]);
+            if graph.direction == Direction::Undirected {
+                rows.push(graph.edge_targets[edge]);
             }
-            for node in rows {
-                let range = graph.entry_range(node);
-                for slot in range {
-                    if graph.entry_edge_ids[slot] as usize == edge {
-                        graph.entry_weights[slot] = weight;
-                    }
-                }
+        }
+        rows.sort_unstable();
+        rows.dedup();
+        for node in rows {
+            for slot in graph.entry_range(node as usize) {
+                graph.entry_weights[slot] = graph.edge_weights[graph.entry_edge_ids[slot] as usize];
             }
         }
         Ok(graph)

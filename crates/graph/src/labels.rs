@@ -3,8 +3,9 @@
 //!
 //! [`LabelTable`] is the only label interner in this crate: the edge-list
 //! readers, [`CsrBuilder`](crate::CsrBuilder), [`CsrGraph`](crate::CsrGraph),
-//! [`WeightedGraph`](crate::WeightedGraph) and the PATCH overlay
-//! [`DeltaGraph`](crate::DeltaGraph) all keep their labels in one.
+//! [`WeightedGraph`](crate::WeightedGraph) and the labels a PATCH batch
+//! adds in [`DeltaGraph::apply`](crate::DeltaGraph::apply) all keep their
+//! labels in one.
 
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;

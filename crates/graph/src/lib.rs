@@ -19,8 +19,9 @@
 //!   scoring pipeline is generic (bit-identical results on either
 //!   representation).
 //! * [`LabelTable`] — the one node-label interner both representations, the
-//!   streaming builder and the PATCH overlay share: label bytes in one
-//!   arena, decimal labels indexed directly, the rest through SipHash.
+//!   streaming builder and PATCH batches ([`DeltaGraph`]) share: label
+//!   bytes in one arena, decimal labels indexed directly, the rest through
+//!   SipHash.
 //! * Graph [`generators`] — Barabási–Albert, Erdős–Rényi, stochastic block
 //!   model and small deterministic topologies, used by the synthetic
 //!   experiments (Figure 4) and the test suites.

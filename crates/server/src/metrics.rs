@@ -29,8 +29,8 @@
 //! | `process_resident_memory_bytes` | — | gauge (resident set size, `VmRSS` of `/proc/self/status`; omitted off Linux) |
 //!
 //! The resident set also holds what the two memory gauges do not count —
-//! the PATCH overlay, the compare-report cache, allocator slack, the
-//! binary — so it reads at least their sum.
+//! the compare-report cache, allocator slack, the binary — so it reads at
+//! least their sum.
 //!
 //! Requests are recorded **before** their response bytes are written, so a
 //! client that has read its response can rely on a subsequent scrape already

@@ -20,10 +20,10 @@
 //! subsequent threshold policy is answered from the cached
 //! [`backboning::ScoredEdges`] at selection cost.
 //!
-//! [`Registry::patch`] applies a batched delta through the
-//! [`backboning_graph::delta`] overlay (writers are serialized per graph;
-//! readers are never blocked), compacts structural changes back to a flat
-//! [`CsrGraph`], and **seeds the successor state's cache** by exact
+//! [`Registry::patch`] applies a batched delta to the published graph
+//! through [`backboning_graph::delta`], which builds the next [`CsrGraph`]
+//! (writers are serialized per graph; readers are never blocked), and
+//! **seeds the successor state's cache** by exact
 //! incremental rescoring ([`backboning::delta::delta_rescore`]) of every
 //! method cached in the previous generation whose
 //! [`DeltaStrategy`] permits it — so the cache
@@ -114,7 +114,8 @@ pub struct CacheCounters {
     pub patches: u64,
     /// Individual delta ops committed across all PATCH batches.
     pub patch_ops: u64,
-    /// Structural patches compacted back to a flat CSR.
+    /// Structural patches, whose new generation was rebuilt through the
+    /// CSR builder.
     pub compactions: u64,
 }
 
@@ -274,15 +275,14 @@ impl GraphState {
     }
 }
 
-/// A named graph: the currently published [`GraphState`] plus the writer
-/// side of the patch pipeline.
+/// A named graph: the currently published [`GraphState`] plus the lock
+/// that serializes its [`Registry::patch`] writers.
 pub struct GraphEntry {
     name: String,
     state: RwLock<Arc<GraphState>>,
-    /// The mutable overlay feeding [`Registry::patch`]; the mutex
-    /// serializes writers per graph (readers never take it). Lazily seeded
-    /// from the published state on first patch.
-    patch: Mutex<Option<DeltaGraph>>,
+    /// Held by [`Registry::patch`] from reading the published state to
+    /// publishing the next; readers never take it.
+    writer: Mutex<()>,
 }
 
 impl GraphEntry {
@@ -291,7 +291,7 @@ impl GraphEntry {
         GraphEntry {
             name,
             state: RwLock::new(Arc::new(state)),
-            patch: Mutex::new(None),
+            writer: Mutex::new(()),
         }
     }
 
@@ -356,10 +356,11 @@ pub struct PatchOutcome {
     pub nodes: usize,
     /// Edge count of the new generation.
     pub edges: usize,
-    /// The overlay's report of the batch.
+    /// What the batch did, as [`DeltaGraph::apply`] reports it.
     pub effect: PatchEffect,
-    /// Whether the structural delta log was compacted back to a flat CSR
-    /// (reweight-only patches update weights in place instead).
+    /// Whether the batch changed the edge structure, so the new generation
+    /// was rebuilt through the CSR builder (a reweight-only batch rewrites
+    /// the weights of a copy instead).
     pub compacted: bool,
     /// Cache keys carried over to the new generation by incremental
     /// rescoring, sorted.
@@ -451,7 +452,7 @@ impl Registry {
     }
 
     /// Register `graph` under `name`, replacing any previous graph of that
-    /// name (and dropping its cache, patch log and generation counter).
+    /// name (and dropping its caches and generation counter).
     /// Rejects invalid names.
     pub fn insert(&self, name: &str, graph: CsrGraph) -> Result<Arc<GraphEntry>, String> {
         if !valid_graph_name(name) {
@@ -548,52 +549,27 @@ impl Registry {
 
     /// Apply a batched delta to `entry` and publish the next generation.
     ///
-    /// Writers are serialized per graph by the patch mutex; readers keep
-    /// serving the previous state until the new one is published (one
+    /// Writers are serialized per graph by the entry's writer lock; readers
+    /// keep serving the previous state until the new one is published (one
     /// `RwLock` write of an `Arc`), so they never block on scoring and
-    /// never observe a half-applied batch. Structural batches compact the
-    /// overlay back to a flat CSR; reweight-only batches poke the weights
-    /// of a cloned CSR (bit-identical to compaction, much cheaper). Every
-    /// method cached on the old state whose
+    /// never observe a half-applied batch. [`DeltaGraph::apply`] resolves
+    /// the batch against the published graph and builds the next one.
+    /// Every method cached on the old state whose
     /// [`DeltaStrategy`] is not `Invalidate` is
     /// carried to the new state via exact incremental rescoring, so the
     /// cache stays hot under churn. Validation failures (including
-    /// [`GraphError::CapacityExceeded`]) leave the published state and the
-    /// overlay untouched.
+    /// [`GraphError::CapacityExceeded`]) leave the published state
+    /// untouched.
     pub fn patch(
         &self,
         entry: &GraphEntry,
         batch: &DeltaBatch,
     ) -> Result<PatchOutcome, GraphError> {
-        let mut patch_guard = entry.patch.lock().unwrap_or_else(|e| e.into_inner());
+        let _writer = entry.writer.lock().unwrap_or_else(|e| e.into_inner());
         let old_state = entry.snapshot();
-        let delta =
-            patch_guard.get_or_insert_with(|| DeltaGraph::from_csr(old_state.graph.as_ref()));
+        let mut delta = DeltaGraph::from_csr(old_state.graph.as_ref());
         let effect = delta.apply(batch)?;
-        let compact_result = if effect.structure_changed {
-            delta.to_csr().map(Arc::new)
-        } else {
-            let updates: Vec<(usize, f64)> = effect
-                .changed_edges
-                .iter()
-                .map(|&id| (id, delta.edge_weight(id).expect("changed edge is live")))
-                .collect();
-            old_state
-                .graph
-                .with_reweighted_edges(&updates)
-                .map(Arc::new)
-        };
-        let new_graph = match compact_result {
-            Ok(graph) => graph,
-            Err(error) => {
-                // The overlay committed but the rebuild failed (should be
-                // unreachable — apply re-validates capacity): drop the
-                // overlay so the next patch re-seeds from the published
-                // state instead of diverging from it.
-                *patch_guard = None;
-                return Err(error);
-            }
-        };
+        let new_graph = Arc::new(delta.into_csr());
         if effect.structure_changed {
             self.counters.compactions.fetch_add(1, Ordering::Relaxed);
         }
@@ -630,13 +606,12 @@ impl Registry {
         self.counters
             .patch_ops
             .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        let compacted = effect.structure_changed;
         Ok(PatchOutcome {
             generation: new_state.generation,
             nodes: new_graph.node_count(),
             edges: new_graph.edge_count(),
+            compacted: effect.structure_changed,
             effect,
-            compacted,
             rescored_methods: rescored,
         })
     }

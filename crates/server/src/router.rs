@@ -299,33 +299,32 @@ enum Output {
 }
 
 fn parse_policy(request: &Request) -> Result<ThresholdPolicy, String> {
+    let number = |key: &str, value: &str| {
+        value
+            .parse::<f64>()
+            .map_err(|_| format!("{key}: cannot parse `{value}` as a number"))
+    };
+    // Every occurrence counts, so a repeated parameter is refused like a
+    // repeated CLI flag.
     let mut policies = Vec::new();
-    if let Some(value) = request.query_param("threshold") {
-        let value: f64 = value
-            .parse()
-            .map_err(|_| format!("threshold: cannot parse `{value}` as a number"))?;
-        policies.push(ThresholdPolicy::Score(value));
-    }
-    if let Some(value) = request.query_param("top_k") {
-        let value: usize = value
-            .parse()
-            .map_err(|_| format!("top_k: cannot parse `{value}` as an integer"))?;
-        policies.push(ThresholdPolicy::TopK(value));
-    }
-    if let Some(value) = request.query_param("top_share") {
-        let value: f64 = value
-            .parse()
-            .map_err(|_| format!("top_share: cannot parse `{value}` as a number"))?;
-        policies.push(ThresholdPolicy::TopShare(value));
-    }
-    if let Some(value) = request.query_param("coverage") {
-        let value: f64 = value
-            .parse()
-            .map_err(|_| format!("coverage: cannot parse `{value}` as a number"))?;
-        policies.push(ThresholdPolicy::Coverage(value));
+    for (key, value) in &request.query {
+        policies.push(match key.as_str() {
+            "threshold" => ThresholdPolicy::Score(number(key, value)?),
+            "top_k" => ThresholdPolicy::TopK(
+                value
+                    .parse()
+                    .map_err(|_| format!("top_k: cannot parse `{value}` as an integer"))?,
+            ),
+            "top_share" => ThresholdPolicy::TopShare(number(key, value)?),
+            "coverage" => ThresholdPolicy::Coverage(number(key, value)?),
+            _ => continue,
+        });
     }
     match policies.as_slice() {
-        [policy] => Ok(*policy),
+        [policy] => {
+            policy.validate().map_err(|e| e.to_string())?;
+            Ok(*policy)
+        }
         [] => Err(
             "exactly one policy parameter (threshold, top_k, top_share, coverage) is required"
                 .to_string(),
@@ -403,7 +402,8 @@ fn backbone(registry: &Registry, name: &str, request: &Request) -> Response {
         return Response::error(
             400,
             &format!(
-                "unknown method `{method_name}` (expected one of: nc, ncb, df, hss, hss-approx, ds, mst, naive)"
+                "unknown method `{method_name}` (expected one of: {})",
+                Method::NAMES
             ),
         );
     };

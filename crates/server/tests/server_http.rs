@@ -267,6 +267,12 @@ fn not_found_and_bad_request_paths() {
             400,
         ),
         ("/graphs/trade/backbone?method=nc&top_share=1.5", 400),
+        // Policy values are checked for every method, the fixed-set ones
+        // included, and a repeated policy parameter is refused.
+        ("/graphs/trade/backbone?method=mst&top_share=7", 400),
+        ("/graphs/trade/backbone?method=ds&coverage=-3", 400),
+        ("/graphs/trade/backbone?method=nc&threshold=nan", 400),
+        ("/graphs/trade/backbone?method=nc&top_k=5&top_k=6", 400),
         ("/graphs/trade/backbone?method=nc&top_k=x", 400),
         ("/graphs/trade/backbone?method=nc&top_k=3&output=wat", 400),
         ("/graphs/trade/backbone?method=nc&top_k=3&format=xml", 400),
@@ -859,6 +865,49 @@ fn resident_memory_covers_the_memory_gauges() {
     assert!(counted > 2_000_000, "{counted}");
     let resident = gauge("process_resident_memory_bytes");
     assert!(resident >= counted, "{resident} < {counted}");
+    server.shutdown();
+}
+
+/// A refused policy costs no scoring pass: the value is checked before
+/// the scored-edge cache is consulted, so nothing is scored or cached.
+#[test]
+fn invalid_policies_are_refused_before_scoring() {
+    let server = trade_server(1);
+    let (status, body) = get(&server, "/graphs/trade/backbone?method=hss&top_share=7");
+    assert_eq!(status, 400);
+    assert!(
+        text(&body).contains("invalid parameter `top_share`: must lie in [0, 1], got 7"),
+        "{}",
+        text(&body)
+    );
+    let (_, body) = get(&server, "/health");
+    let health = text(&body);
+    assert!(
+        health.contains("\"scored\": { \"hits\": 0, \"misses\": 0, \"evictions\": 0 }"),
+        "{health}"
+    );
+    let (_, body) = get(&server, "/graphs/trade");
+    assert!(!text(&body).contains("hss"), "{}", text(&body));
+    let (_, body) = get(&server, "/graphs/trade/backbone?method=nc&top_k=5&top_k=6");
+    assert!(
+        text(&body).contains("exactly one policy parameter may be given"),
+        "{}",
+        text(&body)
+    );
+    // Unknown names are answered with every name `method=` and `methods=`
+    // accept.
+    for path in [
+        "/graphs/trade/backbone?method=zz&top_k=1",
+        "/graphs/trade/compare?methods=zz",
+    ] {
+        let (status, body) = get(&server, path);
+        assert_eq!(status, 400, "{path}");
+        assert!(
+            text(&body).contains("(expected one of: nc, ncb, df, hss, hss-approx, ds, mst, naive"),
+            "{path}: {}",
+            text(&body)
+        );
+    }
     server.shutdown();
 }
 
