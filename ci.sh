@@ -50,7 +50,7 @@ echo "==> large-substrate smoke: 100k-node BA through score -> select (180 s bud
 SMOKE_TSV=$(mktemp --suffix .tsv)
 cleanup_smoke() { rm -f "$SMOKE_TSV"; }
 trap cleanup_smoke EXIT
-cargo run --release -p backboning_bench --bin gen_substrate -- ba 100000 3 4242 "$SMOKE_TSV"
+./target/release/backbone gen 'ba:n=100000,m=3,w=unit,noise=0,seed=4242' --out "$SMOKE_TSV"
 SMOKE_SUMMARY=$(timeout 180 ./target/release/backbone --method nc --top-share 0.1 \
     --undirected -o summary "$SMOKE_TSV")
 echo "$SMOKE_SUMMARY" | grep -q '"nodes": 100000'
@@ -109,6 +109,13 @@ MST_STATUS=0
 ./target/release/backbone -m mst --top-share 7 --undirected docs/examples/trade.tsv \
     >/dev/null 2>&1 || MST_STATUS=$?
 [ "$MST_STATUS" = "1" ]
+# A sampled HSS without roots is refused the same way, before the input
+# (here a missing file) is read.
+ROOTS_STATUS=0
+ROOTS_ERR=$(./target/release/backbone -m hss-approx --hss-roots 0 --top-k 1 \
+    /nonexistent.tsv 2>&1) || ROOTS_STATUS=$?
+[ "$ROOTS_STATUS" = "1" ]
+echo "$ROOTS_ERR" | grep -q 'sampled-root HSS needs at least one root'
 
 echo "==> hub smoke: one PATCH reweighting every edge of a 160k-leaf star (10 s budget)"
 # Resolving the batch reads each adjacency row at most twice and writing
@@ -207,22 +214,56 @@ printf 'x,5 6,3\n' | ./target/release/backbone --csv -m naive --threshold 0 2>/d
 echo "==> bench-matrix smoke: 3-cell sweep, rows parse and are run-stable"
 MATRIX_A=$(mktemp --suffix .json)
 MATRIX_B=$(mktemp --suffix .json)
-cleanup_matrix() { rm -f "$MATRIX_A" "$MATRIX_B"; }
+MATRIX_COPY=$(mktemp --suffix .json)
+cleanup_matrix() { rm -f "$MATRIX_A" "$MATRIX_B" "$MATRIX_COPY"; }
 trap cleanup_matrix EXIT
 MATRIX_SPECS='ba:n=2000,m=3,seed=4242;geo:n=2000,r=0.04,w=powerlaw(2.5),seed=4242;sb:n=2000,b=8,pin=0.01,pout=0.0004,w=lognormal(0,1),seed=4242'
-./target/release/backbone bench-matrix --specs "$MATRIX_SPECS" --methods nc \
+./target/release/bench_matrix --specs "$MATRIX_SPECS" --methods nc \
     --runs 1 --out "$MATRIX_A" | grep -q '3 cell(s) swept'
-./target/release/backbone bench-matrix --specs "$MATRIX_SPECS" --methods nc \
+./target/release/bench_matrix --specs "$MATRIX_SPECS" --methods nc \
     --runs 1 --out "$MATRIX_B" >/dev/null
 # The appended rows parse (one per cell, keyed by spec) ...
 [ "$(grep -c '"spec": ' "$MATRIX_A")" = "3" ]
 grep -q '"backbone_hash": "' "$MATRIX_A"
 # ... and are byte-identical across runs once the timing fields are
-# stripped (same sed idiom as the compare smoke above).
-MATRIX_A_STABLE=$(sed 's/, "median_ms": [0-9.]*//g; s/, "edges_per_sec": [0-9.]*//g' "$MATRIX_A")
-MATRIX_B_STABLE=$(sed 's/, "median_ms": [0-9.]*//g; s/, "edges_per_sec": [0-9.]*//g' "$MATRIX_B")
+# stripped (same sed idiom as the compare smoke below).
+MATRIX_STRIP='s/, "median_ms": [0-9.]*//g; s/, "edges_per_sec": [0-9.]*//g'
+MATRIX_A_STABLE=$(sed "$MATRIX_STRIP" "$MATRIX_A")
+MATRIX_B_STABLE=$(sed "$MATRIX_STRIP" "$MATRIX_B")
 [ "$MATRIX_A_STABLE" = "$MATRIX_B_STABLE" ]
+# Re-measuring a committed cell rewrites its line where it stands: with the
+# timing fields stripped, the updated copy is the committed record.
+cp BENCH_backbones.json "$MATRIX_COPY"
+./target/release/bench_matrix --specs 'ba:n=2000,m=3,w=unit,noise=0,seed=4242' --methods nc \
+    --runs 1 --out "$MATRIX_COPY" | grep -q '1 cell(s) swept'
+cmp <(sed "$MATRIX_STRIP" BENCH_backbones.json) <(sed "$MATRIX_STRIP" "$MATRIX_COPY")
 cleanup_matrix
+trap - EXIT
+
+echo "==> empty-graph PATCH smoke: tokens are names, under a 4 GB address-space limit"
+# A PATCH on an upload without edges resolves its tokens as names, as an
+# upload of the same lines would. Read as a node id, `4000000000` sized
+# per-node arrays for four billion nodes and aborted the server.
+EMPTY_PORT="${EMPTY_PORT:-48171}"
+EMPTY_URL="http://127.0.0.1:${EMPTY_PORT}"
+(ulimit -v 4000000 && exec ./target/release/backbone serve --addr "127.0.0.1:${EMPTY_PORT}") \
+    >/dev/null 2>&1 &
+EMPTY_PID=$!
+cleanup_empty() {
+    kill -TERM "$EMPTY_PID" 2>/dev/null || true
+    wait "$EMPTY_PID" 2>/dev/null || true
+}
+trap cleanup_empty EXIT
+for _ in $(seq 1 50); do
+    if curl -sf "${EMPTY_URL}/health" >/dev/null 2>&1; then break; fi
+    sleep 0.1
+done
+curl -sf -X POST --data-binary '# nothing' "${EMPTY_URL}/graphs/e" | grep -q '"edges": 0'
+curl -sf -X PATCH --data-binary 'add 0 4000000000 1' "${EMPTY_URL}/graphs/e" \
+    | grep -q '"nodes": 2'
+curl -sf "${EMPTY_URL}/health" | grep -q '"status": "ok"'
+curl -sf -X POST "${EMPTY_URL}/shutdown" | grep -q 'shutting down'
+wait "$EMPTY_PID"
 trap - EXIT
 
 echo "==> server smoke: backbone serve"
@@ -277,6 +318,12 @@ POLICY_STATUS=$(curl -s -o /dev/null -w '%{http_code}' \
 [ "$POLICY_STATUS" = "400" ]
 SCORED_AFTER=$(curl -sf "${SERVE_URL}/health" | grep -o '"scored": { [^}]*}')
 [ "$SCORED_BEFORE" = "$SCORED_AFTER" ]
+
+# Upload parameters take only the values they document: `Directed` is a
+# 400, not an undirected graph.
+DIRECTION_STATUS=$(curl -s -o /dev/null -w '%{http_code}' -X POST \
+    --data-binary $'a b 2\nb a 3\n' "${SERVE_URL}/graphs/mixed?direction=Directed")
+[ "$DIRECTION_STATUS" = "400" ]
 
 # Observability smoke: /metrics serves both formats and reports nonzero
 # graph and score-cache memory (the nc query above cached a score set),

@@ -14,15 +14,17 @@
 //! is a full pass by construction). Bit-identity against from-scratch
 //! scoring is asserted before any timing is recorded.
 //!
-//! The section is upserted textually (see [`backboning_bench::patchbench`]),
+//! The section is upserted where it stands (see [`backboning_bench::section`]),
 //! so the rest of the snapshot document — including rows measured under
 //! `BENCH_SCALE=full` — is preserved verbatim. Environment: `BENCH_RUNS`
 //! (default 5) timed runs per cell, median reported.
 //!
 //! [`DeltaStrategy`]: backboning::DeltaStrategy
 
+use std::path::Path;
+
 use backboning::Method;
-use backboning_bench::patchbench;
+use backboning_bench::{patchbench, section};
 use backboning_graph::generators::barabasi_albert_csr;
 
 fn main() {
@@ -45,10 +47,10 @@ fn main() {
     };
 
     let path = "BENCH_backbones.json";
-    let existing = std::fs::read_to_string(path).unwrap_or_else(|_| "{\n}\n".to_string());
-    let merged = patchbench::merge_rows(patchbench::extract_rows(&existing), rows.clone());
-    let json = patchbench::with_patch_section(&existing, &merged);
-    std::fs::write(path, &json).expect("write BENCH_backbones.json");
+    if let Err(message) = section::upsert_file(Path::new(path), &rows) {
+        eprintln!("bench_patch: {message}");
+        std::process::exit(1);
+    }
 
     for row in &rows {
         println!(

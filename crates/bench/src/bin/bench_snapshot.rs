@@ -48,7 +48,7 @@
 //!
 //! Since PR 8 the deviation check also covers a community (stochastic
 //! block) substrate generated by `backboning_gen`, and the snapshot
-//! preserves the `"matrix"` section maintained by `backbone bench-matrix`
+//! preserves the `"matrix"` section maintained by the `bench_matrix` binary
 //! when it rewrites the file.
 //!
 //! Since PR 9 the server numbers come from the observability layer itself:
@@ -63,11 +63,13 @@
 //! `BACKBONING_THREADS` steers the auto-threaded entries.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use backboning::{HighSalienceSkeleton, Pipeline, ThresholdPolicy};
 use backboning_bench::loadtest::{self, LoadTarget, LoadtestConfig};
-use backboning_bench::{matrix, patchbench};
+use backboning_bench::matrix::MatrixRow;
+use backboning_bench::patchbench::PatchRow;
+use backboning_bench::section::{self, SectionRow};
+use backboning_bench::timed_runs;
 use backboning_eval::comparison::{Comparison, ComparisonConfig};
 use backboning_eval::Method;
 use backboning_gen::ScenarioSpec;
@@ -87,18 +89,6 @@ struct Entry {
     threads: usize,
     median_ms: f64,
     edges_per_sec: f64,
-}
-
-fn timed_runs(runs: usize, mut work: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..runs)
-        .map(|_| {
-            let start = Instant::now();
-            work();
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    samples[samples.len() / 2]
 }
 
 fn entry(
@@ -811,12 +801,12 @@ fn main() {
     // BENCH_SNAPSHOT_PATH when invoking from elsewhere.
     let path =
         std::env::var("BENCH_SNAPSHOT_PATH").unwrap_or_else(|_| "BENCH_backbones.json".to_string());
-    // The "matrix" section is owned by `backbone bench-matrix` and the
-    // "patch" section by `bench_patch`; carry their rows over instead of
-    // wiping them with the rewrite.
+    // The "matrix" section is owned by `bench_matrix` and the "patch"
+    // section by `bench_patch`; carry their rows over instead of wiping
+    // them with the rewrite.
     let existing = std::fs::read_to_string(&path).unwrap_or_default();
-    let json = matrix::with_matrix_section(&json, &matrix::extract_rows(&existing));
-    let json = patchbench::with_patch_section(&json, &patchbench::extract_rows(&existing));
+    let json = section::carry_over(&json, &existing, &[MatrixRow::SECTION, PatchRow::SECTION])
+        .expect("the rendered snapshot is a JSON object");
     std::fs::write(&path, &json).expect("write BENCH_backbones.json");
 
     println!("{json}");

@@ -30,6 +30,9 @@
 pub mod loadtest;
 pub mod matrix;
 pub mod patchbench;
+pub mod section;
+
+use std::time::Instant;
 
 use backboning_data::{CountryData, CountryDataConfig, OccupationData, OccupationDataConfig};
 use backboning_eval::Method;
@@ -78,6 +81,19 @@ pub fn paper_methods() -> Vec<Method> {
     } else {
         Method::all().to_vec()
     }
+}
+
+/// Median of `runs` timed executions of `work`, in milliseconds.
+pub fn timed_runs(runs: usize, mut work: impl FnMut()) -> f64 {
+    let mut samples: Vec<f64> = (0..runs)
+        .map(|_| {
+            let start = Instant::now();
+            work();
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    samples.sort_by(|a, b| a.total_cmp(b));
+    samples[samples.len() / 2]
 }
 
 /// The edge shares swept by the coverage and stability reproductions.

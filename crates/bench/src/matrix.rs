@@ -1,6 +1,6 @@
-//! The `bench-matrix` engine: sweep generated scenarios × methods × a
-//! threshold policy and record one structured row per cell in the
-//! `"matrix"` section of `BENCH_backbones.json`.
+//! The scenario × method perf grid behind the `bench_matrix` binary: sweep
+//! generated scenarios × methods × a threshold policy and record one
+//! structured row per cell in the `"matrix"` section of `BENCH_backbones.json`.
 //!
 //! Each row carries two kinds of fields:
 //!
@@ -11,15 +11,17 @@
 //! * **Run-dependent** — `median_ms` / `edges_per_sec` timings, stripped by
 //!   the same `sed` idiom CI already uses for `score_wall_ms`.
 //!
-//! The section is maintained by textual upsert (key: spec × method × policy
-//! × threads) so `bench-matrix` can extend the grid incrementally without
-//! re-running every cell, and `bench_snapshot` carries the section over
-//! when it rewrites the rest of the file.
+//! Rows are upserted through [`crate::section`] (key: spec × method ×
+//! policy × threads), so the `bench_matrix` binary can extend the grid
+//! incrementally without re-running every cell, and `bench_snapshot`
+//! carries the section over when it rewrites the rest of the file.
 
 use std::time::Instant;
 
 use backboning::{Method, Pipeline, ThresholdPolicy};
 use backboning_gen::ScenarioSpec;
+
+use crate::section::SectionRow;
 
 /// One swept cell of the scenario × method matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -171,162 +173,54 @@ pub fn run_matrix(config: &MatrixConfig) -> Result<Vec<MatrixRow>, String> {
     Ok(rows)
 }
 
-/// Render one row as a single JSON object line (4-space indent, no trailing
-/// comma — the section renderer adds those).
-pub fn render_row(row: &MatrixRow) -> String {
-    format!(
-        "{{\"spec\": \"{}\", \"family\": \"{}\", \"nodes\": {}, \"edges\": {}, \
-         \"method\": \"{}\", \"policy\": \"{}\", \"kept_edges\": {}, \
-         \"backbone_hash\": \"{}\", \"threads\": {}, \"median_ms\": {:.3}, \
-         \"edges_per_sec\": {:.1}}}",
-        row.spec,
-        row.family,
-        row.nodes,
-        row.edges,
-        row.method,
-        row.policy,
-        row.kept_edges,
-        row.backbone_hash,
-        row.threads,
-        row.median_ms,
-        row.edges_per_sec,
-    )
-}
+impl SectionRow for MatrixRow {
+    const SECTION: &'static str = "matrix";
+    const KEY: &'static [&'static str] = &["spec", "method", "policy", "threads"];
 
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let marker = format!("\"{key}\": ");
-    let start = line.find(&marker)? + marker.len();
-    let rest = &line[start..];
-    if let Some(quoted) = rest.strip_prefix('"') {
-        Some(&quoted[..quoted.find('"')?])
-    } else {
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim())
+    fn render(&self) -> String {
+        format!(
+            "{{\"spec\": \"{}\", \"family\": \"{}\", \"nodes\": {}, \"edges\": {}, \
+             \"method\": \"{}\", \"policy\": \"{}\", \"kept_edges\": {}, \
+             \"backbone_hash\": \"{}\", \"threads\": {}, \"median_ms\": {:.3}, \
+             \"edges_per_sec\": {:.1}}}",
+            self.spec,
+            self.family,
+            self.nodes,
+            self.edges,
+            self.method,
+            self.policy,
+            self.kept_edges,
+            self.backbone_hash,
+            self.threads,
+            self.median_ms,
+            self.edges_per_sec,
+        )
     }
-}
-
-/// Parse a rendered row line back into a [`MatrixRow`] (used by the CI
-/// self-check and the upsert merge). Returns `None` on any malformed field.
-pub fn parse_row(line: &str) -> Option<MatrixRow> {
-    let line = line.trim().trim_end_matches(',');
-    if !line.starts_with('{') || !line.ends_with('}') {
-        return None;
-    }
-    Some(MatrixRow {
-        spec: field(line, "spec")?.to_string(),
-        family: field(line, "family")?.to_string(),
-        nodes: field(line, "nodes")?.parse().ok()?,
-        edges: field(line, "edges")?.parse().ok()?,
-        method: field(line, "method")?.to_string(),
-        policy: field(line, "policy")?.to_string(),
-        kept_edges: field(line, "kept_edges")?.parse().ok()?,
-        backbone_hash: field(line, "backbone_hash")?.to_string(),
-        threads: field(line, "threads")?.parse().ok()?,
-        median_ms: field(line, "median_ms")?.parse().ok()?,
-        edges_per_sec: field(line, "edges_per_sec")?.parse().ok()?,
-    })
-}
-
-const SECTION_OPEN: &str = "  \"matrix\": [\n";
-const SECTION_CLOSE: &str = "\n  ]";
-
-/// Extract the rows of an existing `"matrix"` section, oldest first.
-/// Returns an empty vector when the document has no section yet.
-pub fn extract_rows(json: &str) -> Vec<MatrixRow> {
-    let Some(start) = json.find(SECTION_OPEN) else {
-        return Vec::new();
-    };
-    let body_start = start + SECTION_OPEN.len();
-    let Some(body_len) = json[body_start..].find(SECTION_CLOSE) else {
-        return Vec::new();
-    };
-    json[body_start..body_start + body_len]
-        .lines()
-        .filter_map(parse_row)
-        .collect()
-}
-
-/// Merge new rows over existing ones: a new row replaces the existing row
-/// with the same (spec, method, policy, threads) key, otherwise appends.
-pub fn merge_rows(existing: Vec<MatrixRow>, new_rows: Vec<MatrixRow>) -> Vec<MatrixRow> {
-    let mut merged = existing;
-    for row in new_rows {
-        let key = (
-            row.spec.clone(),
-            row.method.clone(),
-            row.policy.clone(),
-            row.threads,
-        );
-        match merged.iter_mut().find(|existing| {
-            (
-                existing.spec.clone(),
-                existing.method.clone(),
-                existing.policy.clone(),
-                existing.threads,
-            ) == key
-        }) {
-            Some(slot) => *slot = row,
-            None => merged.push(row),
-        }
-    }
-    merged
-}
-
-/// Remove the `"matrix"` section (and the comma that attached it) from a
-/// rendered snapshot document, returning valid JSON.
-pub fn strip_matrix_section(json: &str) -> String {
-    let Some(start) = json.find(SECTION_OPEN) else {
-        return json.to_string();
-    };
-    let Some(close) = json[start..].find(SECTION_CLOSE) else {
-        return json.to_string();
-    };
-    let mut end = start + close + SECTION_CLOSE.len();
-    // Swallow a trailing newline after "  ]" so the join is seamless.
-    if json[end..].starts_with('\n') {
-        end += 1;
-    }
-    // Drop the comma (and its newline) that attached the section to the
-    // previous one.
-    let head = json[..start].trim_end_matches('\n');
-    let head = head.strip_suffix(',').unwrap_or(head);
-    format!("{head}\n{}", &json[end..])
-}
-
-/// Return `json` with its `"matrix"` section replaced by `rows` (or with a
-/// new section appended as the last key when none exists). `json` must be a
-/// rendered snapshot document — an object ending in `}`.
-pub fn with_matrix_section(json: &str, rows: &[MatrixRow]) -> String {
-    let base = strip_matrix_section(json);
-    let trimmed = base.trim_end();
-    let body = trimmed
-        .strip_suffix('}')
-        .expect("snapshot document ends with a closing brace")
-        .trim_end();
-    if rows.is_empty() {
-        return format!("{body}\n}}\n");
-    }
-    let rendered: Vec<String> = rows
-        .iter()
-        .map(|row| format!("    {}", render_row(row)))
-        .collect();
-    // A fresh document (`{}`) has no previous key to attach to with a comma.
-    let joiner = if body.trim_end().ends_with('{') {
-        ""
-    } else {
-        ","
-    };
-    format!(
-        "{body}{joiner}\n{}{}{}\n}}\n",
-        SECTION_OPEN,
-        rendered.join(",\n"),
-        SECTION_CLOSE
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::section::{field, rows, upsert};
+
+    impl MatrixRow {
+        /// Read a rendered row back (the test oracle for `render`).
+        pub(crate) fn parse(line: &str) -> Option<MatrixRow> {
+            Some(MatrixRow {
+                spec: field(line, "spec")?.to_string(),
+                family: field(line, "family")?.to_string(),
+                nodes: field(line, "nodes")?.parse().ok()?,
+                edges: field(line, "edges")?.parse().ok()?,
+                method: field(line, "method")?.to_string(),
+                policy: field(line, "policy")?.to_string(),
+                kept_edges: field(line, "kept_edges")?.parse().ok()?,
+                backbone_hash: field(line, "backbone_hash")?.to_string(),
+                threads: field(line, "threads")?.parse().ok()?,
+                median_ms: field(line, "median_ms")?.parse().ok()?,
+                edges_per_sec: field(line, "edges_per_sec")?.parse().ok()?,
+            })
+        }
+    }
 
     fn sample_row() -> MatrixRow {
         MatrixRow {
@@ -344,14 +238,18 @@ mod tests {
         }
     }
 
+    fn parsed_rows(doc: &str) -> Vec<MatrixRow> {
+        rows(doc, MatrixRow::SECTION)
+            .into_iter()
+            .map(|line| MatrixRow::parse(line).unwrap())
+            .collect()
+    }
+
     #[test]
     fn row_render_parse_round_trip() {
         let row = sample_row();
-        let line = render_row(&row);
-        let reparsed = parse_row(&line).unwrap();
-        assert_eq!(reparsed, row);
-        // With the section indentation and a trailing comma, too.
-        assert_eq!(parse_row(&format!("    {line},")).unwrap(), row);
+        assert_eq!(MatrixRow::parse(&row.render()), Some(row));
+        assert_eq!(MatrixRow::parse("not a row"), None);
     }
 
     #[test]
@@ -361,24 +259,24 @@ mod tests {
         second.method = "df".to_string();
         let rows = vec![sample_row(), second];
 
-        let with_section = with_matrix_section(base, &rows);
+        let with_section = upsert(base, &rows).unwrap();
         assert!(with_section.contains("\"matrix\": ["));
-        assert_eq!(extract_rows(&with_section), rows);
-        assert_eq!(strip_matrix_section(&with_section), base);
-        // Idempotent on documents without a section.
-        assert_eq!(strip_matrix_section(base), base);
-        assert!(extract_rows(base).is_empty());
+        assert_eq!(parsed_rows(&with_section), rows);
+        // The section is the document's last key: strip it and the rest is
+        // the base document.
+        let cut = with_section.find(",\n  \"matrix\"").unwrap();
+        assert_eq!(format!("{}\n}}\n", &with_section[..cut]), base);
+        assert!(parsed_rows(base).is_empty());
     }
 
     #[test]
     fn with_matrix_section_replaces_existing_rows() {
         let base = "{\n  \"entries\": []\n}\n";
-        let first = with_matrix_section(base, &[sample_row()]);
+        let first = upsert(base, &[sample_row()]).unwrap();
         let mut updated = sample_row();
         updated.kept_edges = 42;
-        let second = with_matrix_section(&first, &[updated.clone()]);
-        let rows = extract_rows(&second);
-        assert_eq!(rows, vec![updated]);
+        let second = upsert(&first, &[updated.clone()]).unwrap();
+        assert_eq!(parsed_rows(&second), vec![updated]);
         assert_eq!(second.matches("\"matrix\"").count(), 1);
     }
 
@@ -388,9 +286,18 @@ mod tests {
         replacement.median_ms = 9.999;
         let mut other = sample_row();
         other.method = "mst".to_string();
+        let mut other_threads = sample_row();
+        other_threads.threads = 2;
 
-        let merged = merge_rows(vec![sample_row()], vec![replacement.clone(), other.clone()]);
-        assert_eq!(merged, vec![replacement, other]);
+        let first = upsert("{\n}\n", &[sample_row()]).unwrap();
+        let merged = upsert(
+            &first,
+            &[replacement.clone(), other.clone(), other_threads.clone()],
+        );
+        assert_eq!(
+            parsed_rows(&merged.unwrap()),
+            vec![replacement, other, other_threads]
+        );
     }
 
     #[test]

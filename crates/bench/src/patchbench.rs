@@ -7,16 +7,18 @@
 //! them. Before timing anything the harness asserts the two paths agree
 //! bit-for-bit — a fast wrong answer must never make it into the snapshot.
 //!
-//! Like the `"matrix"` section, the section is maintained by textual upsert
-//! (key: substrate × method × batch size × threads) so the `bench_patch`
-//! binary can refresh its rows without touching anything else in the
-//! document, and `bench_snapshot` carries the section over untouched.
-
-use std::time::Instant;
+//! Like the `"matrix"` section, rows are upserted through
+//! [`crate::section`] (key: substrate × method × batch size × threads), so
+//! the `bench_patch` binary can refresh its rows without touching anything
+//! else in the document, and `bench_snapshot` carries the section over
+//! untouched.
 
 use backboning::{apply_batch, delta_rescore, delta_rescore_in_place, DeltaStrategy, Method};
 use backboning_graph::delta::{DeltaOp, DeltaOpKind};
 use backboning_graph::{CsrGraph, DeltaBatch};
+
+use crate::section::SectionRow;
+use crate::timed_runs;
 
 /// One row of the `"patch"` section.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,19 +74,6 @@ pub fn reweight_batch(graph: &CsrGraph, batch_edges: usize) -> DeltaBatch {
         })
         .collect();
     DeltaBatch { ops }
-}
-
-/// Median of `runs` timed executions, in milliseconds.
-fn timed_runs(runs: usize, mut work: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..runs)
-        .map(|_| {
-            let start = Instant::now();
-            work();
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    samples[samples.len() / 2]
 }
 
 /// Measure every method's full-pass vs incremental-rescore wall time on one
@@ -156,158 +145,52 @@ pub fn measure_patch_rescore(
     Ok(rows)
 }
 
-/// Render one row as a single JSON object line (4-space indent, no trailing
-/// comma — the section renderer adds those).
-pub fn render_row(row: &PatchRow) -> String {
-    format!(
-        "{{\"substrate\": \"{}\", \"nodes\": {}, \"edges\": {}, \"method\": \"{}\", \
-         \"strategy\": \"{}\", \"batch_edges\": {}, \"threads\": {}, \
-         \"full_median_ms\": {:.3}, \"delta_median_ms\": {:.6}, \"speedup\": {:.1}}}",
-        row.substrate,
-        row.nodes,
-        row.edges,
-        row.method,
-        row.strategy,
-        row.batch_edges,
-        row.threads,
-        row.full_median_ms,
-        row.delta_median_ms,
-        row.speedup,
-    )
-}
+impl SectionRow for PatchRow {
+    const SECTION: &'static str = "patch";
+    const KEY: &'static [&'static str] = &["substrate", "method", "batch_edges", "threads"];
 
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let marker = format!("\"{key}\": ");
-    let start = line.find(&marker)? + marker.len();
-    let rest = &line[start..];
-    if let Some(quoted) = rest.strip_prefix('"') {
-        Some(&quoted[..quoted.find('"')?])
-    } else {
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim())
+    fn render(&self) -> String {
+        format!(
+            "{{\"substrate\": \"{}\", \"nodes\": {}, \"edges\": {}, \"method\": \"{}\", \
+             \"strategy\": \"{}\", \"batch_edges\": {}, \"threads\": {}, \
+             \"full_median_ms\": {:.3}, \"delta_median_ms\": {:.6}, \"speedup\": {:.1}}}",
+            self.substrate,
+            self.nodes,
+            self.edges,
+            self.method,
+            self.strategy,
+            self.batch_edges,
+            self.threads,
+            self.full_median_ms,
+            self.delta_median_ms,
+            self.speedup,
+        )
     }
-}
-
-/// Parse a rendered row line back into a [`PatchRow`] (used by the upsert
-/// merge and `bench_snapshot`'s carry-over). Returns `None` on any
-/// malformed field.
-pub fn parse_row(line: &str) -> Option<PatchRow> {
-    let line = line.trim().trim_end_matches(',');
-    if !line.starts_with('{') || !line.ends_with('}') {
-        return None;
-    }
-    Some(PatchRow {
-        substrate: field(line, "substrate")?.to_string(),
-        nodes: field(line, "nodes")?.parse().ok()?,
-        edges: field(line, "edges")?.parse().ok()?,
-        method: field(line, "method")?.to_string(),
-        strategy: field(line, "strategy")?.to_string(),
-        batch_edges: field(line, "batch_edges")?.parse().ok()?,
-        threads: field(line, "threads")?.parse().ok()?,
-        full_median_ms: field(line, "full_median_ms")?.parse().ok()?,
-        delta_median_ms: field(line, "delta_median_ms")?.parse().ok()?,
-        speedup: field(line, "speedup")?.parse().ok()?,
-    })
-}
-
-const SECTION_OPEN: &str = "  \"patch\": [\n";
-const SECTION_CLOSE: &str = "\n  ]";
-
-/// Extract the rows of an existing `"patch"` section, oldest first.
-/// Returns an empty vector when the document has no section yet.
-pub fn extract_rows(json: &str) -> Vec<PatchRow> {
-    let Some(start) = json.find(SECTION_OPEN) else {
-        return Vec::new();
-    };
-    let body_start = start + SECTION_OPEN.len();
-    let Some(body_len) = json[body_start..].find(SECTION_CLOSE) else {
-        return Vec::new();
-    };
-    json[body_start..body_start + body_len]
-        .lines()
-        .filter_map(parse_row)
-        .collect()
-}
-
-/// Merge new rows over existing ones: a new row replaces the existing row
-/// with the same (substrate, method, batch_edges, threads) key, otherwise
-/// appends.
-pub fn merge_rows(existing: Vec<PatchRow>, new_rows: Vec<PatchRow>) -> Vec<PatchRow> {
-    let mut merged = existing;
-    for row in new_rows {
-        let key = (
-            row.substrate.clone(),
-            row.method.clone(),
-            row.batch_edges,
-            row.threads,
-        );
-        match merged.iter_mut().find(|existing| {
-            (
-                existing.substrate.clone(),
-                existing.method.clone(),
-                existing.batch_edges,
-                existing.threads,
-            ) == key
-        }) {
-            Some(slot) => *slot = row,
-            None => merged.push(row),
-        }
-    }
-    merged
-}
-
-/// Remove the `"patch"` section (and the comma that attached it) from a
-/// rendered snapshot document, returning valid JSON.
-pub fn strip_patch_section(json: &str) -> String {
-    let Some(start) = json.find(SECTION_OPEN) else {
-        return json.to_string();
-    };
-    let Some(close) = json[start..].find(SECTION_CLOSE) else {
-        return json.to_string();
-    };
-    let mut end = start + close + SECTION_CLOSE.len();
-    if json[end..].starts_with('\n') {
-        end += 1;
-    }
-    let head = json[..start].trim_end_matches('\n');
-    let head = head.strip_suffix(',').unwrap_or(head);
-    format!("{head}\n{}", &json[end..])
-}
-
-/// Return `json` with its `"patch"` section replaced by `rows` (or with a
-/// new section appended as the last key when none exists). `json` must be a
-/// rendered snapshot document — an object ending in `}`.
-pub fn with_patch_section(json: &str, rows: &[PatchRow]) -> String {
-    let base = strip_patch_section(json);
-    let trimmed = base.trim_end();
-    let body = trimmed
-        .strip_suffix('}')
-        .expect("snapshot document ends with a closing brace")
-        .trim_end();
-    if rows.is_empty() {
-        return format!("{body}\n}}\n");
-    }
-    let rendered: Vec<String> = rows
-        .iter()
-        .map(|row| format!("    {}", render_row(row)))
-        .collect();
-    let joiner = if body.trim_end().ends_with('{') {
-        ""
-    } else {
-        ","
-    };
-    format!(
-        "{body}{joiner}\n{}{}{}\n}}\n",
-        SECTION_OPEN,
-        rendered.join(",\n"),
-        SECTION_CLOSE
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::section::{field, rows, upsert};
     use backboning_graph::generators::barabasi_albert_csr;
+
+    impl PatchRow {
+        /// Read a rendered row back (the test oracle for `render`).
+        pub(crate) fn parse(line: &str) -> Option<PatchRow> {
+            Some(PatchRow {
+                substrate: field(line, "substrate")?.to_string(),
+                nodes: field(line, "nodes")?.parse().ok()?,
+                edges: field(line, "edges")?.parse().ok()?,
+                method: field(line, "method")?.to_string(),
+                strategy: field(line, "strategy")?.to_string(),
+                batch_edges: field(line, "batch_edges")?.parse().ok()?,
+                threads: field(line, "threads")?.parse().ok()?,
+                full_median_ms: field(line, "full_median_ms")?.parse().ok()?,
+                delta_median_ms: field(line, "delta_median_ms")?.parse().ok()?,
+                speedup: field(line, "speedup")?.parse().ok()?,
+            })
+        }
+    }
 
     fn sample_row() -> PatchRow {
         PatchRow {
@@ -324,30 +207,36 @@ mod tests {
         }
     }
 
+    fn parsed_rows(doc: &str) -> Vec<PatchRow> {
+        rows(doc, PatchRow::SECTION)
+            .into_iter()
+            .map(|line| PatchRow::parse(line).unwrap())
+            .collect()
+    }
+
     #[test]
     fn rows_round_trip_through_render_and_parse() {
         let row = sample_row();
-        assert_eq!(parse_row(&render_row(&row)), Some(row.clone()));
-        assert_eq!(parse_row(&format!("    {},", render_row(&row))), Some(row));
-        assert_eq!(parse_row("not a row"), None);
+        assert_eq!(PatchRow::parse(&row.render()), Some(row));
+        assert_eq!(PatchRow::parse("not a row"), None);
     }
 
     #[test]
     fn section_insert_extract_strip_round_trip() {
         let base = "{\n  \"entries\": [\n    {\"x\": 1}\n  ]\n}\n";
         let rows = vec![sample_row()];
-        let with_section = with_patch_section(base, &rows);
+        let with_section = upsert(base, &rows).unwrap();
         assert!(with_section.contains("\"patch\": ["));
-        assert_eq!(extract_rows(&with_section), rows);
-        assert_eq!(strip_patch_section(&with_section), base);
-        assert_eq!(strip_patch_section(base), base);
+        assert_eq!(parsed_rows(&with_section), rows);
+        let cut = with_section.find(",\n  \"patch\"").unwrap();
+        assert_eq!(format!("{}\n}}\n", &with_section[..cut]), base);
         // Upsert: same key replaces, new key appends.
         let mut faster = sample_row();
         faster.delta_median_ms = 0.01;
         let mut other = sample_row();
         other.method = "df".to_string();
-        let merged = merge_rows(rows, vec![faster.clone(), other.clone()]);
-        assert_eq!(merged, vec![faster, other]);
+        let merged = upsert(&with_section, &[faster.clone(), other.clone()]).unwrap();
+        assert_eq!(parsed_rows(&merged), vec![faster, other]);
     }
 
     #[test]

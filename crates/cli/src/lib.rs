@@ -32,7 +32,6 @@ use std::io::{BufReader, Write};
 use std::path::PathBuf;
 
 use backboning::{apply_batch, delta_rescore, Method, Pipeline, ThresholdPolicy};
-use backboning_bench::matrix;
 use backboning_eval::comparison::{parse_method_list, Comparison, ComparisonConfig};
 use backboning_gen::ScenarioSpec;
 use backboning_graph::io::{read_edge_list_csr_named, EdgeListOptions};
@@ -64,9 +63,10 @@ METHOD (-m, --method):
 
 HSS-APPROX OPTIONS (with --method hss-approx, or compare --methods lists
 containing it; rejected otherwise):
-    --hss-roots <K>        sampled shortest-path-tree roots (default 256);
-                           per-edge salience error ≤ sqrt(ln(2/α)/(2K)) with
-                           probability 1−α, and K ≥ |V| is exactly hss
+    --hss-roots <K>        sampled shortest-path-tree roots, at least 1
+                           (default 256); per-edge salience error
+                           ≤ sqrt(ln(2/α)/(2K)) with probability 1−α, and
+                           K ≥ |V| is exactly hss
     --hss-seed <N>         root-sampling seed (default 4242); a fixed
                            (roots, seed) pair is fully deterministic
 
@@ -191,26 +191,6 @@ PATCH MODE:
     --threads <N>          worker threads for --verify scoring
     The INPUT FORMAT flags above apply; INPUT defaults to stdin.
 
-BENCH-MATRIX MODE:
-    backbone bench-matrix [OPTIONS]
-
-    Sweep generated scenarios × methods × a top-share policy and upsert one
-    structured row per cell into the \"matrix\" section of
-    BENCH_backbones.json — the regression-tracked perf grid. Rows are keyed
-    by spec × method × policy × threads and are deterministic apart from
-    the median_ms / edges_per_sec timing fields.
-
-    --specs <LIST>         semicolon-separated scenario specs (default: the
-                           committed 4-family × 2-size grid)
-    --methods <LIST>       comma-separated method names (default:
-                           naive,mst,df,nc,hss-approx — the scalable set)
-    --top-share <F>        matched edge coverage per backbone (default 0.1)
-    --runs <N>             timed repetitions per cell, median recorded
-                           (default 3)
-    --threads <N>          worker threads (default 1, for comparable rows)
-    --out <PATH>           snapshot file to upsert
-                           (default BENCH_backbones.json)
-
     -h, --help             print this help
 ";
 
@@ -293,17 +273,8 @@ pub struct PatchCliConfig {
     pub threads: usize,
 }
 
-/// A fully parsed `backbone bench-matrix` invocation.
-#[derive(Debug, Clone)]
-pub struct MatrixCliConfig {
-    /// The sweep configuration (specs, methods, policy, runs, threads).
-    pub matrix: matrix::MatrixConfig,
-    /// The snapshot file whose `"matrix"` section is upserted.
-    pub out: PathBuf,
-}
-
 /// The parsed command: run the pipeline, compare methods, serve over HTTP,
-/// generate a scenario, sweep the bench matrix, or print help.
+/// generate a scenario, patch an edge list, or print help.
 #[derive(Debug, Clone)]
 pub enum Command {
     /// Run the pipeline with this configuration.
@@ -314,8 +285,6 @@ pub enum Command {
     Serve(backboning_server::ServerConfig),
     /// Generate a scenario edge list (`backbone gen`).
     Gen(GenCliConfig),
-    /// Sweep the scenario × method bench matrix (`backbone bench-matrix`).
-    BenchMatrix(MatrixCliConfig),
     /// Apply a batched delta to an edge list (`backbone patch`).
     Patch(PatchCliConfig),
     /// Print the usage text and exit successfully.
@@ -557,50 +526,6 @@ fn parse_gen_args(mut args: impl Iterator<Item = String>) -> Result<Command, Usa
     Ok(Command::Gen(GenCliConfig { spec, out }))
 }
 
-/// Parse the flags of `backbone bench-matrix …` (after the `bench-matrix`
-/// word).
-fn parse_matrix_args(mut args: impl Iterator<Item = String>) -> Result<Command, UsageError> {
-    let mut config = matrix::MatrixConfig::default();
-    let mut out = PathBuf::from("BENCH_backbones.json");
-    while let Some(arg) = args.next() {
-        let mut value_for = |flag: &str| {
-            args.next()
-                .ok_or_else(|| usage_error(format!("{flag}: missing value")))
-        };
-        match arg.as_str() {
-            "-h" | "--help" => return Ok(Command::Help),
-            "--specs" => {
-                config.specs = value_for(&arg)?
-                    .split(';')
-                    .filter(|text| !text.is_empty())
-                    .map(|text| {
-                        ScenarioSpec::parse(text).map_err(|error| usage_error(error.to_string()))
-                    })
-                    .collect::<Result<Vec<ScenarioSpec>, UsageError>>()?;
-            }
-            "--methods" => {
-                config.methods = parse_method_list(&value_for(&arg)?).map_err(usage_error)?;
-            }
-            "--top-share" => config.top_share = parse_number(&arg, &value_for(&arg)?)?,
-            "--runs" => config.runs = parse_number(&arg, &value_for(&arg)?)?,
-            "--threads" => config.threads = parse_number(&arg, &value_for(&arg)?)?,
-            "--out" => out = PathBuf::from(value_for(&arg)?),
-            flag if flag.starts_with('-') => {
-                return Err(usage_error(format!("unknown bench-matrix flag `{flag}`")));
-            }
-            other => {
-                return Err(usage_error(format!(
-                    "bench-matrix takes no positional arguments, got `{other}`"
-                )));
-            }
-        }
-    }
-    Ok(Command::BenchMatrix(MatrixCliConfig {
-        matrix: config,
-        out,
-    }))
-}
-
 /// Parse the flags of `backbone patch …` (after the `patch` word).
 fn parse_patch_args(mut args: impl Iterator<Item = String>) -> Result<Command, UsageError> {
     let mut delta: Option<PathBuf> = None;
@@ -673,10 +598,6 @@ where
     if args.peek().map(String::as_str) == Some("gen") {
         args.next();
         return parse_gen_args(args);
-    }
-    if args.peek().map(String::as_str) == Some("bench-matrix") {
-        args.next();
-        return parse_matrix_args(args);
     }
     if args.peek().map(String::as_str) == Some("patch") {
         args.next();
@@ -799,7 +720,8 @@ where
 /// The input is streamed line by line — from the named file, or from stdin
 /// when no path was given — so the full edge list is never buffered.
 pub fn execute(config: &CliConfig, out: &mut dyn Write) -> Result<(), String> {
-    // Refuse an invalid policy before reading any input.
+    // Refuse an invalid method or policy before reading any input.
+    config.method.validate().map_err(|e| e.to_string())?;
     config.policy.validate().map_err(|e| e.to_string())?;
     // Parse straight into the compact u32/CSR core: the pipeline is generic
     // over both representations with bit-identical output, and the CSR form
@@ -1005,54 +927,6 @@ pub fn execute_patch(config: &PatchCliConfig, out: &mut dyn Write) -> Result<(),
             backboning_graph::io::write_edge_list(&patched, &mut *out).map_err(|e| e.to_string())
         }
     }
-}
-
-/// Execute a parsed `backbone bench-matrix` configuration: run the sweep,
-/// upsert the rows into the snapshot file's `"matrix"` section, and echo
-/// the rows (plus a summary line) to `out`.
-pub fn execute_bench_matrix(config: &MatrixCliConfig, out: &mut dyn Write) -> Result<(), String> {
-    let rows = matrix::run_matrix(&config.matrix)?;
-    // Missing file and empty file (e.g. a fresh mktemp target) both start a
-    // new snapshot document.
-    let existing = std::fs::read_to_string(&config.out)
-        .ok()
-        .filter(|text| !text.trim().is_empty())
-        .unwrap_or_else(|| "{\n}\n".to_string());
-    if !existing.trim_end().ends_with('}') {
-        return Err(format!(
-            "{}: existing file is not a snapshot JSON document",
-            config.out.display()
-        ));
-    }
-    let merged = matrix::merge_rows(matrix::extract_rows(&existing), rows.clone());
-    let updated = matrix::with_matrix_section(&existing, &merged);
-    // Self-check before writing: every merged row must survive a re-parse of
-    // the rendered section, or the upsert would silently drop cells. Timing
-    // floats are compared after rendering (parse-back sees rounded values).
-    let rendered: Vec<String> = merged.iter().map(matrix::render_row).collect();
-    let reparsed: Vec<String> = matrix::extract_rows(&updated)
-        .iter()
-        .map(matrix::render_row)
-        .collect();
-    if reparsed != rendered {
-        return Err(format!(
-            "bench-matrix self-check failed: {} rows rendered, {} parsed back",
-            rendered.len(),
-            reparsed.len()
-        ));
-    }
-    std::fs::write(&config.out, &updated).map_err(|e| format!("{}: {e}", config.out.display()))?;
-    for row in &rows {
-        writeln!(out, "{}", matrix::render_row(row)).map_err(|e| e.to_string())?;
-    }
-    writeln!(
-        out,
-        "bench-matrix: {} cell(s) swept, {} total in {}",
-        rows.len(),
-        merged.len(),
-        config.out.display()
-    )
-    .map_err(|e| e.to_string())
 }
 
 #[cfg(test)]
@@ -1540,66 +1414,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_matrix_subcommand_parses_defaults_and_overrides() {
-        let Command::BenchMatrix(config) = parse(&["bench-matrix"]).unwrap() else {
-            panic!("expected a bench-matrix command");
-        };
-        assert_eq!(config.matrix.specs.len(), 8);
-        assert_eq!(config.matrix.methods.len(), 5);
-        assert_eq!(config.matrix.top_share, 0.1);
-        assert_eq!(config.matrix.runs, 3);
-        assert_eq!(config.matrix.threads, 1);
-        assert_eq!(config.out, std::path::PathBuf::from("BENCH_backbones.json"));
-
-        let Command::BenchMatrix(config) = parse(&[
-            "bench-matrix",
-            "--specs",
-            "ba:n=100,m=2;sb:n=120,b=3,w=lognormal(0,1)",
-            "--methods",
-            "nc,df",
-            "--top-share",
-            "0.2",
-            "--runs",
-            "1",
-            "--threads",
-            "2",
-            "--out",
-            "grid.json",
-        ])
-        .unwrap() else {
-            panic!("expected a bench-matrix command");
-        };
-        assert_eq!(config.matrix.specs.len(), 2);
-        assert_eq!(config.matrix.specs[1].family.tag(), "sb");
-        assert_eq!(
-            config.matrix.methods,
-            vec![Method::NoiseCorrected, Method::DisparityFilter]
-        );
-        assert_eq!(config.matrix.top_share, 0.2);
-        assert_eq!(config.matrix.runs, 1);
-        assert_eq!(config.matrix.threads, 2);
-        assert_eq!(config.out, std::path::PathBuf::from("grid.json"));
-    }
-
-    #[test]
-    fn bench_matrix_usage_errors_are_reported() {
-        for (args, needle) in [
-            (&["bench-matrix", "--specs", "zz:n=1"][..], "unknown family"),
-            (&["bench-matrix", "--methods", "wat"][..], "wat"),
-            (&["bench-matrix", "--wat"][..], "unknown bench-matrix flag"),
-            (&["bench-matrix", "positional"][..], "no positional"),
-            (&["bench-matrix", "--runs"][..], "missing value"),
-        ] {
-            let err = parse(args).unwrap_err();
-            assert!(
-                err.0.contains(needle),
-                "{args:?}: `{needle}` not in `{}`",
-                err.0
-            );
-        }
-    }
-
-    #[test]
     fn execute_gen_writes_deterministic_edge_list() {
         let Command::Gen(config) = parse(&["gen", "sb:n=60,b=3,pin=0.3,pout=0.05,seed=5"]).unwrap()
         else {
@@ -1613,89 +1427,6 @@ mod tests {
         let text = String::from_utf8(first).unwrap();
         assert!(text.starts_with("# source\ttarget\tweight\n"));
         assert!(text.lines().count() > 10);
-    }
-
-    #[test]
-    fn execute_bench_matrix_upserts_rows_into_fresh_file() {
-        let dir =
-            std::env::temp_dir().join(format!("backboning_cli_matrix_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("grid.json");
-        let Command::BenchMatrix(mut config) = parse(&[
-            "bench-matrix",
-            "--specs",
-            "ba:n=120,m=2,seed=5",
-            "--methods",
-            "nc,mst",
-            "--runs",
-            "1",
-        ])
-        .unwrap() else {
-            panic!("expected a bench-matrix command");
-        };
-        config.out = out.clone();
-
-        let mut echoed = Vec::new();
-        execute_bench_matrix(&config, &mut echoed).unwrap();
-        let first = std::fs::read_to_string(&out).unwrap();
-        assert_eq!(matrix::extract_rows(&first).len(), 2);
-
-        // A second identical run must upsert in place, not duplicate rows,
-        // and keep the deterministic fields byte-identical.
-        execute_bench_matrix(&config, &mut Vec::new()).unwrap();
-        let second = std::fs::read_to_string(&out).unwrap();
-        assert_eq!(matrix::extract_rows(&second).len(), 2);
-        let strip = |text: &str| -> Vec<String> {
-            matrix::extract_rows(text)
-                .into_iter()
-                .map(|mut row| {
-                    row.median_ms = 0.0;
-                    row.edges_per_sec = 0.0;
-                    matrix::render_row(&row)
-                })
-                .collect()
-        };
-        assert_eq!(strip(&first), strip(&second));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn execute_bench_matrix_accepts_empty_file_and_rejects_non_json() {
-        let dir = std::env::temp_dir().join(format!(
-            "backboning_cli_matrix_empty_test_{}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let Command::BenchMatrix(mut config) = parse(&[
-            "bench-matrix",
-            "--specs",
-            "ba:n=120,m=2,seed=5",
-            "--methods",
-            "nc",
-            "--runs",
-            "1",
-        ])
-        .unwrap() else {
-            panic!("expected a bench-matrix command");
-        };
-
-        // An existing zero-byte file (the mktemp idiom) starts a fresh
-        // snapshot document instead of failing.
-        let empty = dir.join("empty.json");
-        std::fs::write(&empty, "").unwrap();
-        config.out = empty.clone();
-        execute_bench_matrix(&config, &mut Vec::new()).unwrap();
-        let written = std::fs::read_to_string(&empty).unwrap();
-        assert_eq!(matrix::extract_rows(&written).len(), 1);
-
-        // A non-JSON file is refused, not clobbered.
-        let bogus = dir.join("notes.txt");
-        std::fs::write(&bogus, "not a snapshot\n").unwrap();
-        config.out = bogus.clone();
-        let err = execute_bench_matrix(&config, &mut Vec::new()).unwrap_err();
-        assert!(err.contains("not a snapshot"), "unexpected error: {err}");
-        assert_eq!(std::fs::read_to_string(&bogus).unwrap(), "not a snapshot\n");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //! or, as `backbone compare`, run the matched-coverage method comparison
 //! (`backboning_eval::Comparison`) — or, as `backbone serve`, start the
 //! long-lived HTTP serving subsystem (`backboning_server`) with its
-//! scored-graph cache — or, as `backbone gen` / `backbone bench-matrix`,
-//! generate deterministic synthetic scenarios (`backboning_gen`) and sweep
-//! the scenario × method perf grid into `BENCH_backbones.json` — or, as
-//! `backbone patch`, apply a batched add/remove/reweight delta to an edge
-//! list (optionally `--verify`-ing the incremental rescoring path).
+//! scored-graph cache — or, as `backbone gen`, generate a deterministic
+//! synthetic scenario (`backboning_gen`) — or, as `backbone patch`, apply a
+//! batched add/remove/reweight delta to an edge list (optionally
+//! `--verify`-ing the incremental rescoring path). The scenario × method
+//! perf grid of `BENCH_backbones.json` is swept by the bench crate's
+//! `bench_matrix` binary, so this one links no benchmark code.
 //!
 //! Exit codes: `0` success, `1` runtime failure (unreadable input, malformed
 //! edge list, method error, bind failure), `2` usage error.
@@ -15,8 +16,7 @@
 use std::io::Write;
 
 use backboning_cli::{
-    execute, execute_bench_matrix, execute_compare, execute_gen, execute_patch, parse_args,
-    Command, USAGE,
+    execute, execute_compare, execute_gen, execute_patch, parse_args, Command, USAGE,
 };
 
 fn main() {
@@ -70,15 +70,6 @@ fn main() {
             let stdout = std::io::stdout();
             let mut out = stdout.lock();
             if let Err(err) = execute_gen(&config, &mut out) {
-                eprintln!("backbone: {err}");
-                std::process::exit(1);
-            }
-            let _ = out.flush();
-        }
-        Command::BenchMatrix(config) => {
-            let stdout = std::io::stdout();
-            let mut out = stdout.lock();
-            if let Err(err) = execute_bench_matrix(&config, &mut out) {
                 eprintln!("backbone: {err}");
                 std::process::exit(1);
             }

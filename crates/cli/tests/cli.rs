@@ -286,6 +286,22 @@ fn invalid_policy_values_exit_1_for_every_method_before_reading_input() {
 }
 
 #[test]
+fn zero_hss_roots_exit_1_before_reading_input() {
+    for args in [
+        &["-m", "hss-approx", "--hss-roots", "0", "--top-k", "1"][..],
+        &["compare", "--methods", "nc,hss-approx", "--hss-roots", "0"][..],
+    ] {
+        let mut args = args.to_vec();
+        args.push("/no/such/file.tsv");
+        let output = run_with_stdin(&args, None);
+        assert_eq!(output.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&output.stderr);
+        assert!(err.contains("at least one root"), "{args:?}: {err}");
+        assert!(!err.contains("/no/such/file.tsv"), "{args:?}: {err}");
+    }
+}
+
+#[test]
 fn unknown_methods_are_answered_with_every_name() {
     for args in [
         &["-m", "zz", "--top-k", "1"][..],
@@ -307,6 +323,8 @@ fn usage_errors_exit_2_and_hint_at_help() {
         &["--top-k", "2"][..],
         &["--method", "nc"][..],
         &["--method", "nc", "--top-k", "1", "--unknown-flag"][..],
+        // The perf grid moved to the bench crate's `bench_matrix` binary.
+        &["bench-matrix"][..],
     ] {
         let output = run_with_stdin(args, Some(""));
         assert_eq!(output.status.code(), Some(2), "{args:?}");
@@ -485,55 +503,4 @@ fn gen_usage_errors_exit_2() {
     assert_eq!(output.status.code(), Some(2));
     let err = String::from_utf8_lossy(&output.stderr);
     assert!(err.contains("unknown family"), "{err}");
-}
-
-#[test]
-fn bench_matrix_rows_are_stable_across_runs() {
-    let dir = std::env::temp_dir().join(format!("backbone_matrix_e2e_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let out = dir.join("grid.json");
-    let args = [
-        "bench-matrix",
-        "--specs",
-        "ba:n=200,m=2,seed=5;er:n=200,e=600,w=uniform(10),seed=5",
-        "--methods",
-        "nc,df",
-        "--runs",
-        "1",
-        "--out",
-        out.to_str().unwrap(),
-    ];
-    let first_echo = stdout_of(&run_with_stdin(&args, None));
-    assert!(first_echo.contains("4 cell(s) swept"), "{first_echo}");
-    let first = std::fs::read_to_string(&out).unwrap();
-
-    stdout_of(&run_with_stdin(&args, None));
-    let second = std::fs::read_to_string(&out).unwrap();
-
-    // The deterministic fields must be byte-identical across the two runs
-    // (the same sed idiom ci.sh uses strips the timing fields).
-    let strip = |text: &str| -> String {
-        text.lines()
-            .map(|line| {
-                let line = regex_strip(line, ", \"median_ms\": ");
-                regex_strip(&line, ", \"edges_per_sec\": ")
-            })
-            .collect::<Vec<String>>()
-            .join("\n")
-    };
-    assert_eq!(strip(&first), strip(&second));
-    assert_eq!(first.matches("\"spec\": ").count(), 4);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Drop `marker<number>` from a line (a tiny stand-in for the CI sed strip).
-fn regex_strip(line: &str, marker: &str) -> String {
-    let Some(start) = line.find(marker) else {
-        return line.to_string();
-    };
-    let tail = &line[start + marker.len()..];
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || c == '.'))
-        .unwrap_or(tail.len());
-    format!("{}{}", &line[..start], &tail[end..])
 }

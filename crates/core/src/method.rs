@@ -23,7 +23,7 @@ use backboning_graph::{GraphView, WeightedGraph};
 
 use crate::disparity::DisparityFilter;
 use crate::doubly_stochastic::DoublyStochastic;
-use crate::error::BackboneResult;
+use crate::error::{BackboneError, BackboneResult};
 use crate::high_salience::{HighSalienceSkeleton, HSS_APPROX_SCORE_NAME};
 use crate::naive::NaiveThreshold;
 use crate::noise_corrected::{NoiseCorrected, NoiseCorrectedBinomial};
@@ -238,6 +238,19 @@ impl Method {
                 format!("hss-approx:roots={roots}:seed={seed}")
             }
             _ => self.cli_name().to_string(),
+        }
+    }
+
+    /// Check the method's parameters: `hss-approx` needs at least one root.
+    /// The CLI and the server run this next to [`ThresholdPolicy::validate`],
+    /// before any input is read or scored.
+    pub fn validate(&self) -> BackboneResult<()> {
+        match self {
+            Method::HssApprox { roots: 0, .. } => Err(BackboneError::InvalidParameter {
+                parameter: "hss-roots",
+                message: "sampled-root HSS needs at least one root".to_string(),
+            }),
+            _ => Ok(()),
         }
     }
 

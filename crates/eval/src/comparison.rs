@@ -477,6 +477,7 @@ impl Comparison {
                     message: format!("duplicate method `{}`", method.cli_name()),
                 });
             }
+            method.validate()?;
         }
         if !(0.0..=1.0).contains(&config.top_share) {
             return Err(BackboneError::InvalidParameter {
@@ -846,6 +847,15 @@ mod tests {
             ..base.clone()
         })
         .is_err());
+        let err = Comparison::new(ComparisonConfig {
+            methods: vec![
+                Method::NoiseCorrected,
+                Method::HssApprox { roots: 0, seed: 1 },
+            ],
+            ..base.clone()
+        })
+        .unwrap_err();
+        assert!(err.to_string().contains("at least one root"), "{err}");
         // The resample cap is inclusive; a larger count is refused before
         // any trial is allocated.
         assert!(Comparison::new(ComparisonConfig {

@@ -320,6 +320,7 @@ fn sample_rectangle(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use backboning_graph::io::write_edge_list_string;
 
     fn generate(text: &str) -> CsrGraph {
         ScenarioSpec::parse(text).unwrap().generate().unwrap()
@@ -329,35 +330,32 @@ mod tests {
         graph.edges().map(|edge| edge.weight).collect()
     }
 
+    /// The spec reproduces the direct generator's edge list byte for byte,
+    /// at a small size and at the bench substrates' 2000 nodes.
     #[test]
     fn ba_spec_matches_shared_generator_stream() {
-        let via_spec = generate("ba:n=300,m=3,seed=4242");
-        let direct = barabasi_albert_csr(300, 3, 4242).unwrap();
-        assert_eq!(via_spec.edge_count(), direct.edge_count());
-        let direct_edges: Vec<(u32, u32, f64)> = direct
-            .edges()
-            .map(|edge| (edge.source as u32, edge.target as u32, edge.weight))
-            .collect();
-        let spec_edges: Vec<(u32, u32, f64)> = via_spec
-            .edges()
-            .map(|edge| (edge.source as u32, edge.target as u32, edge.weight))
-            .collect();
-        assert_eq!(spec_edges, direct_edges);
+        for (nodes, seed) in [(300, 4242), (2000, 4242)] {
+            let via_spec = generate(&format!("ba:n={nodes},m=3,seed={seed}"));
+            let direct = barabasi_albert_csr(nodes, 3, seed).unwrap();
+            assert_eq!(
+                write_edge_list_string(&via_spec).unwrap(),
+                write_edge_list_string(&direct).unwrap(),
+                "n={nodes}"
+            );
+        }
     }
 
     #[test]
     fn er_uniform_spec_matches_shared_generator_stream() {
-        let via_spec = generate("er:n=300,e=900,w=uniform(10),seed=99");
-        let direct = erdos_renyi_csr(300, 900, 10.0, Direction::Undirected, 99).unwrap();
-        let direct_edges: Vec<(u32, u32, f64)> = direct
-            .edges()
-            .map(|edge| (edge.source as u32, edge.target as u32, edge.weight))
-            .collect();
-        let spec_edges: Vec<(u32, u32, f64)> = via_spec
-            .edges()
-            .map(|edge| (edge.source as u32, edge.target as u32, edge.weight))
-            .collect();
-        assert_eq!(spec_edges, direct_edges);
+        for (nodes, edges) in [(300, 900), (2000, 6000)] {
+            let via_spec = generate(&format!("er:n={nodes},e={edges},w=uniform(10),seed=99"));
+            let direct = erdos_renyi_csr(nodes, edges, 10.0, Direction::Undirected, 99).unwrap();
+            assert_eq!(
+                write_edge_list_string(&via_spec).unwrap(),
+                write_edge_list_string(&direct).unwrap(),
+                "n={nodes}"
+            );
+        }
     }
 
     #[test]

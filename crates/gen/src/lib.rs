@@ -9,7 +9,8 @@
 //!
 //! Every scenario is described by a [`ScenarioSpec`] that round-trips
 //! through a compact string form — the same string is the CLI argument of
-//! `backbone gen`, the row key of `backbone bench-matrix`, and a cache key:
+//! `backbone gen`, the row key of the bench crate's `bench_matrix` grid, and
+//! a cache key:
 //!
 //! ```
 //! use backboning_gen::ScenarioSpec;

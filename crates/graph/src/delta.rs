@@ -75,8 +75,8 @@ pub struct DeltaOp {
 }
 
 /// The three supported edge mutations. Node tokens are labels on labeled
-/// graphs and numeric ids on unlabeled ones; resolution happens at apply
-/// time against the target graph.
+/// graphs and on graphs with no nodes, and numeric ids on unlabeled graphs
+/// with nodes; resolution happens at apply time against the target graph.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DeltaOpKind {
     /// Insert a new edge; fails if the edge already exists.
@@ -251,7 +251,9 @@ struct Nodes<'g> {
 
 impl Nodes<'_> {
     fn resolve(&mut self, token: &str, line: usize, allow_new: bool) -> GraphResult<u32> {
-        if !self.labels.is_empty() {
+        // A graph with no nodes takes names, as an upload of the same lines
+        // would; only an unlabeled graph with nodes reads tokens as ids.
+        if !self.labels.is_empty() || self.base == 0 {
             if let Some(id) = self.labels.get(token) {
                 return Ok(id as u32);
             }
@@ -685,6 +687,19 @@ mod tests {
         let bad = DeltaBatch::parse_tsv("remove x y\n").unwrap();
         let err = delta.apply(&bad).unwrap_err().to_string();
         assert!(err.contains("line 1: cannot parse node id `x`"), "{err}");
+    }
+
+    #[test]
+    fn a_graph_without_nodes_resolves_names_like_a_fresh_read() {
+        let options = EdgeListOptions::with_direction(Direction::Undirected);
+        let empty = read_edge_list_csr_str("# nothing\n", &options).unwrap();
+        let mut delta = DeltaGraph::from_csr(&empty);
+        let batch = DeltaBatch::parse_tsv("add 0 4000000000 1\nadd x 0 2\n").unwrap();
+        delta.apply(&batch).unwrap();
+        // Three nodes, not four billion: the big token is a name.
+        assert_eq!(delta.graph().node_count(), 3);
+        let fresh = read_edge_list_csr_str("0 4000000000 1\nx 0 2\n", &options).unwrap();
+        assert_eq!(*delta.graph(), fresh);
     }
 
     #[test]

@@ -174,19 +174,10 @@ fn upload_graph(registry: &Registry, name: &str, request: &Request) -> Response 
             &format!("invalid graph name `{name}` (use [A-Za-z0-9._-])"),
         );
     }
-    let mut options = registry_upload_options(request);
-    if let Some(separator) = request.query_param("separator") {
-        let mut chars = separator.chars();
-        match (chars.next(), chars.next()) {
-            (Some(c), None) => options.separator = Some(c),
-            _ => {
-                return Response::error(
-                    400,
-                    &format!("separator: expected a single character, got `{separator}`"),
-                )
-            }
-        }
-    }
+    let options = match registry_upload_options(request) {
+        Ok(options) => options,
+        Err(message) => return Response::error(400, &message),
+    };
     let source_name = format!("<upload {name}>");
     // Uploads stream straight into the CSR builder; oversized inputs (past
     // the u32 node/offset range) surface as a structured 400, not a panic.
@@ -202,16 +193,49 @@ fn upload_graph(registry: &Registry, name: &str, request: &Request) -> Response 
 
 /// Upload parsing options from query parameters: `direction=directed|
 /// undirected` (default undirected — the common case for backboning),
-/// `header=1` to skip a header line.
-fn registry_upload_options(request: &Request) -> backboning_graph::io::EdgeListOptions {
-    backboning_graph::io::EdgeListOptions {
-        direction: match request.query_param("direction") {
-            Some("directed") => Direction::Directed,
-            _ => Direction::Undirected,
-        },
-        has_header: matches!(request.query_param("header"), Some("1" | "true")),
+/// `header=1|true|0|false` (default off) and `separator=C`. Any other value
+/// is refused with a message naming the parameter and what it accepts.
+fn registry_upload_options(
+    request: &Request,
+) -> Result<backboning_graph::io::EdgeListOptions, String> {
+    let direction = match request.query_param("direction") {
+        None | Some("undirected") => Direction::Undirected,
+        Some("directed") => Direction::Directed,
+        Some(other) => {
+            return Err(format!(
+                "direction: expected directed or undirected, got `{other}`"
+            ))
+        }
+    };
+    let has_header = match request.query_param("header") {
+        None | Some("0" | "false") => false,
+        Some("1" | "true") => true,
+        Some(other) => {
+            return Err(format!(
+                "header: expected 1, true, 0 or false, got `{other}`"
+            ))
+        }
+    };
+    let separator = match request.query_param("separator") {
+        None => None,
+        Some(value) => {
+            let mut chars = value.chars();
+            match (chars.next(), chars.next()) {
+                (Some(c), None) => Some(c),
+                _ => {
+                    return Err(format!(
+                        "separator: expected a single character, got `{value}`"
+                    ))
+                }
+            }
+        }
+    };
+    Ok(backboning_graph::io::EdgeListOptions {
+        direction,
+        separator,
+        has_header,
         ..Default::default()
-    }
+    })
 }
 
 /// `PATCH /graphs/{name}`: apply a batched delta and publish the next
@@ -411,6 +435,9 @@ fn backbone(registry: &Registry, name: &str, request: &Request) -> Response {
         Ok(method) => method,
         Err(message) => return Response::error(400, &message),
     };
+    if let Err(err) = method.validate() {
+        return Response::error(400, &err.to_string());
+    }
     let policy = match parse_policy(request) {
         Ok(policy) => policy,
         Err(message) => return Response::error(400, &message),

@@ -282,6 +282,40 @@ fn not_found_and_bad_request_paths() {
         assert!(text(&body).contains("\"error\":"), "{path}");
     }
 
+    // Upload parameters take only the values they document; anything else
+    // is a 400 naming the parameter, and nothing is registered.
+    for (query, needle) in [
+        (
+            "direction=Directed",
+            "direction: expected directed or undirected, got `Directed`",
+        ),
+        (
+            "header=yes",
+            "header: expected 1, true, 0 or false, got `yes`",
+        ),
+        ("separator=ab", "separator: expected a single character"),
+    ] {
+        let (status, body) = post(
+            &server,
+            &format!("/graphs/params?{query}"),
+            "x y
+a b 2
+",
+        );
+        assert_eq!(status, 400, "{query}: {}", text(&body));
+        assert!(text(&body).contains(needle), "{query}: {}", text(&body));
+        assert_eq!(get(&server, "/graphs/params").0, 404);
+    }
+    for query in ["direction=undirected", "header=1", "header=false"] {
+        let (status, body) = post(
+            &server,
+            &format!("/graphs/params?{query}"),
+            "a b 2
+",
+        );
+        assert_eq!(status, 201, "{query}: {}", text(&body));
+    }
+
     // Wrong verbs → 405.
     let (status, _) = post(&server, "/health", "");
     assert_eq!(status, 405);
@@ -628,6 +662,10 @@ fn compare_route_rejects_bad_requests() {
         // Above the resample cap: refused before the Monte Carlo would
         // allocate its 8 TB trial list and abort the process.
         ("/graphs/trade/compare?resamples=1000000000000", 400),
+        (
+            "/graphs/trade/compare?methods=nc,hss-approx&hss_roots=0",
+            400,
+        ),
     ] {
         let (status, body) = get(&server, path);
         assert_eq!(status, expected, "{path}: {}", text(&body));
@@ -880,6 +918,13 @@ fn invalid_policies_are_refused_before_scoring() {
         "{}",
         text(&body)
     );
+    // So is a sampled HSS without roots.
+    let (status, body) = get(
+        &server,
+        "/graphs/trade/backbone?method=hss-approx&hss_roots=0&top_k=5",
+    );
+    assert_eq!(status, 400);
+    assert!(text(&body).contains("at least one root"), "{}", text(&body));
     let (_, body) = get(&server, "/health");
     let health = text(&body);
     assert!(
@@ -1164,6 +1209,32 @@ fn patch_route_refuses_node_names_an_edge_list_cannot_carry() {
     );
     let (_, after) = get(&server, query);
     assert!(text(&after).contains("c\tx y\t2"), "{}", text(&after));
+    server.shutdown();
+}
+
+/// A PATCH on an upload without edges resolves its tokens as names, as an
+/// upload of the same lines would: a large numeric token is one new node,
+/// not an id that sizes per-node arrays for four billion nodes.
+#[test]
+fn patch_on_an_edgeless_graph_takes_names() {
+    let server = trade_server(1);
+    let (status, _) = post(&server, "/graphs/e", "# nothing\n");
+    assert_eq!(status, 201);
+    let (status, response) = patch(&server, "/graphs/e", "add 0 4000000000 1\n", None);
+    assert_eq!(status, 200, "{}", text(&response));
+    assert!(
+        text(&response).contains("\"nodes\": 2"),
+        "{}",
+        text(&response)
+    );
+    assert_eq!(get(&server, "/health").0, 200);
+    let (status, body) = get(&server, "/graphs/e/backbone?method=naive&threshold=0");
+    assert_eq!(status, 200);
+    assert!(
+        text(&body).ends_with("0\t4000000000\t1\n"),
+        "{}",
+        text(&body)
+    );
     server.shutdown();
 }
 
