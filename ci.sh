@@ -27,6 +27,11 @@ echo "==> graph crate tests in release mode (no overflow checks)"
 # overflow checks of the debug run above off, so its tests run there too.
 cargo test --release -q -p backboning_graph
 
+echo "==> NC score bits in release mode (the posterior inlined into the scorer)"
+# The Beta–Binomial posterior inlines into the NC scorer only in an
+# optimised build, so its bit pins run there too.
+cargo test --release -q -p backboning --test nc_bits
+
 echo "==> benchmark harness: build and test perfbench against the current crates"
 # perfbench is a workspace of its own, so `cargo test` above skips it; an API
 # change that breaks the harness fails here rather than in the next
@@ -324,6 +329,12 @@ SCORED_AFTER=$(curl -sf "${SERVE_URL}/health" | grep -o '"scored": { [^}]*}')
 DIRECTION_STATUS=$(curl -s -o /dev/null -w '%{http_code}' -X POST \
     --data-binary $'a b 2\nb a 3\n' "${SERVE_URL}/graphs/mixed?direction=Directed")
 [ "$DIRECTION_STATUS" = "400" ]
+# So is a misspelt parameter name, which used to be dropped (the same body
+# registered an undirected graph), and the server keeps answering.
+DIRECTON_STATUS=$(curl -s -o /dev/null -w '%{http_code}' -X POST \
+    --data-binary $'a b 2\nb a 3\n' "${SERVE_URL}/graphs/mixed?directon=directed")
+[ "$DIRECTON_STATUS" = "400" ]
+curl -sf "${SERVE_URL}/health" | grep -q '"status": "ok"'
 
 # Observability smoke: /metrics serves both formats and reports nonzero
 # graph and score-cache memory (the nc query above cached a score set),
@@ -363,6 +374,10 @@ PATCH_RESP=$(curl -sf -X PATCH --data-binary @"$PATCH_DELTA" "${SERVE_URL}/graph
 echo "$PATCH_RESP" | grep -q '"generation": 1'
 echo "$PATCH_RESP" | grep -q '"applied": { "added": 1, "removed": 1, "reweighted": 1 }'
 echo "$PATCH_RESP" | grep -q '"rescored_methods": \["nc"\]'
+# The PATCH's stage latencies reach /metrics: one nc rescore sample.
+curl -sf "${SERVE_URL}/metrics" \
+    | grep -q '^patch_rescore_duration_seconds_count{method="nc"} 1$'
+curl -sf "${SERVE_URL}/metrics" | grep -Eq '^patch_apply_duration_seconds_count [1-9]'
 ./target/release/backbone patch "$PATCH_DELTA" "$PATCH_TSV" --undirected --verify \
     > "$PATCH_OUT"
 # The PATCH rescores nc without ranking it. The first rank-based read

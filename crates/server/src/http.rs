@@ -61,7 +61,8 @@ pub struct Request {
 }
 
 impl Request {
-    /// The last value of query parameter `name`, if present.
+    /// The last value of query parameter `name`, if present. The router
+    /// refuses a request that gives a name twice before any route reads it.
     pub fn query_param(&self, name: &str) -> Option<&str> {
         self.query
             .iter()

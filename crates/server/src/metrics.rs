@@ -15,6 +15,14 @@
 //! | `http_requests_in_flight` | — | gauge |
 //! | `http_request_bytes_total` | — | counter (request heads + bodies) |
 //! | `http_response_bytes_total` | — | counter (response heads + bodies) |
+//! | `patch_apply_duration_seconds` | — | latency histogram (a PATCH's apply step: resolve the batch, build the next generation) |
+//! | `patch_rescore_duration_seconds` | `method` | latency histogram (one carried method's `delta_rescore` in a PATCH) |
+//!
+//! The two PATCH series get one sample per committed PATCH (and per
+//! carried method): they split the route's latency into the graph step and
+//! each rescore. Their `method` label is the CLI name, and only `naive`,
+//! `df`, `nc`, `ncb` and `ds` are ever rescored (the rest invalidate), so
+//! its values stay bounded. Neither series exists before the first PATCH.
 //!
 //! The `/metrics` endpoint additionally appends scrape-time samples owned
 //! elsewhere: the graph count, the resolved worker-thread count, the
@@ -43,7 +51,7 @@ use std::time::Duration;
 use backboning_obs::{Counter, Gauge, MetricsRegistry};
 
 use crate::http::{Request, Response};
-use crate::registry::Registry;
+use crate::registry::{PatchOutcome, Registry};
 
 /// Route label used for requests that never parsed into a [`Request`].
 pub const ROUTE_INVALID: &str = "invalid";
@@ -108,6 +116,22 @@ impl ServerMetrics {
             .record(elapsed);
         self.bytes_in.add(bytes_in);
         self.bytes_out.add(bytes_out);
+    }
+
+    /// Records the stage latencies of one committed PATCH: the apply step
+    /// and each carried method's rescore, labelled by its CLI name.
+    pub fn record_patch(&self, outcome: &PatchOutcome) {
+        self.registry
+            .histogram("patch_apply_duration_seconds", &[])
+            .record(outcome.apply_time);
+        for (method, elapsed) in &outcome.rescore_times {
+            self.registry
+                .histogram(
+                    "patch_rescore_duration_seconds",
+                    &[("method", method.cli_name())],
+                )
+                .record(*elapsed);
+        }
     }
 
     /// Renders the `/metrics` body: every request series plus scrape-time

@@ -70,6 +70,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::time::{Duration, Instant};
 
 use backboning::error::BackboneError;
 use backboning::{delta_rescore, DeltaStrategy, Method, ScoredEdges};
@@ -365,6 +366,12 @@ pub struct PatchOutcome {
     /// Cache keys carried over to the new generation by incremental
     /// rescoring, sorted.
     pub rescored_methods: Vec<String>,
+    /// Wall time of the apply step: resolving the batch against the
+    /// published graph and building the next generation.
+    pub apply_time: Duration,
+    /// Wall time of each carried method's `delta_rescore`, in the order
+    /// they ran.
+    pub rescore_times: Vec<(Method, Duration)>,
 }
 
 /// Maximum accepted graph-name length.
@@ -567,9 +574,11 @@ impl Registry {
     ) -> Result<PatchOutcome, GraphError> {
         let _writer = entry.writer.lock().unwrap_or_else(|e| e.into_inner());
         let old_state = entry.snapshot();
+        let applying = Instant::now();
         let mut delta = DeltaGraph::from_csr(old_state.graph.as_ref());
         let effect = delta.apply(batch)?;
         let new_graph = Arc::new(delta.into_csr());
+        let apply_time = applying.elapsed();
         if effect.structure_changed {
             self.counters.compactions.fetch_add(1, Ordering::Relaxed);
         }
@@ -584,17 +593,21 @@ impl Registry {
         // MST invalidate — their next request is a staged full recompute on
         // the new state.
         let mut rescored = Vec::new();
+        let mut rescore_times = Vec::new();
         for (key, method, previous) in old_state.cached_scores() {
             if method.delta_strategy() == DeltaStrategy::Invalidate {
                 continue;
             }
-            if let Ok(scored) = delta_rescore(
+            let rescoring = Instant::now();
+            let scored = delta_rescore(
                 method,
                 new_graph.as_ref(),
                 previous.as_ref(),
                 &effect,
                 self.threads,
-            ) {
+            );
+            rescore_times.push((method, rescoring.elapsed()));
+            if let Ok(scored) = scored {
                 new_state.store_scored(key.clone(), method, Arc::new(scored));
                 rescored.push(key);
             }
@@ -613,6 +626,8 @@ impl Registry {
             compacted: effect.structure_changed,
             effect,
             rescored_methods: rescored,
+            apply_time,
+            rescore_times,
         })
     }
 

@@ -13,6 +13,10 @@
 //! | `GET /graphs/{name}/compare` | matched-coverage method comparison (cache-backed), stable JSON |
 //! | `POST /shutdown` | stop accepting and drain the worker pool |
 //!
+//! Each route reads a fixed set of query parameters (none, for most): any
+//! other name, or a name given twice, is a 400 that names it and lists
+//! what the route accepts, before the route does anything.
+//!
 //! The backbone route takes `method=` (required; any CLI method name) and
 //! exactly one threshold-policy parameter (`threshold=`, `top_k=`,
 //! `top_share=`, `coverage=`). `hss_roots=` / `hss_seed=` tune the sampled
@@ -62,21 +66,31 @@ pub fn handle(
 ) -> Response {
     let segments = request.path_segments();
     match (request.method.as_str(), segments.as_slice()) {
-        ("GET", ["health"]) => health(registry, control),
-        ("GET", ["metrics"]) => metrics_response(metrics, registry, control.workers(), request),
-        ("GET", ["graphs"]) => list_graphs(registry),
-        ("GET", ["graphs", name]) => graph_info(registry, name),
-        ("POST", ["graphs", name]) => upload_graph(registry, name, request),
-        ("PATCH", ["graphs", name]) => patch_graph(registry, name, request),
-        ("DELETE", ["graphs", name]) => delete_graph(registry, name),
-        ("GET", ["graphs", name, "backbone"]) => backbone(registry, name, request),
-        ("GET", ["graphs", name, "compare"]) => compare(registry, name, request),
-        ("POST", ["shutdown"]) => {
+        ("GET", ["health"]) => route(request, &[], || health(registry, control)),
+        ("GET", ["metrics"]) => route(request, &["format"], || {
+            metrics_response(metrics, registry, control.workers(), request)
+        }),
+        ("GET", ["graphs"]) => route(request, &[], || list_graphs(registry)),
+        ("GET", ["graphs", name]) => route(request, &[], || graph_info(registry, name)),
+        ("POST", ["graphs", name]) => route(request, &UPLOAD_PARAMS, || {
+            upload_graph(registry, name, request)
+        }),
+        ("PATCH", ["graphs", name]) => route(request, &[], || {
+            patch_graph(registry, metrics, name, request)
+        }),
+        ("DELETE", ["graphs", name]) => route(request, &[], || delete_graph(registry, name)),
+        ("GET", ["graphs", name, "backbone"]) => route(request, &BACKBONE_PARAMS, || {
+            backbone(registry, name, request)
+        }),
+        ("GET", ["graphs", name, "compare"]) => route(request, &COMPARE_PARAMS, || {
+            compare(registry, name, request)
+        }),
+        ("POST", ["shutdown"]) => route(request, &[], || {
             control.request_shutdown();
             let mut body = JsonObject::pretty();
             body.string("status", "shutting down");
             Response::json(200, finish_line(&mut body))
-        }
+        }),
         // Known paths hit with the wrong verb get a 405 rather than a 404.
         (
             _,
@@ -90,6 +104,62 @@ pub fn handle(
         ) => Response::error(405, &format!("method {} not allowed here", request.method)),
         _ => Response::error(404, &format!("no route for {}", request.path)),
     }
+}
+
+/// The query parameters the upload route reads.
+const UPLOAD_PARAMS: [&str; 3] = ["direction", "header", "separator"];
+
+/// The query parameters the backbone route reads.
+const BACKBONE_PARAMS: [&str; 9] = [
+    "method",
+    "threshold",
+    "top_k",
+    "top_share",
+    "coverage",
+    "output",
+    "format",
+    "hss_roots",
+    "hss_seed",
+];
+
+/// The query parameters the compare route reads.
+const COMPARE_PARAMS: [&str; 7] = [
+    "methods",
+    "top_share",
+    "noise",
+    "resamples",
+    "seed",
+    "hss_roots",
+    "hss_seed",
+];
+
+/// Answer a routed request with `answer` if every query parameter names
+/// one of the `accepted` parameters, each given once. Any other name, or a
+/// name given twice, is a 400 naming it and listing what the route
+/// accepts: a misspelt name would otherwise be dropped silently, and of a
+/// repeated one only the last value would count.
+fn route(request: &Request, accepted: &[&str], answer: impl FnOnce() -> Response) -> Response {
+    let accepts = || match accepted {
+        [] => "this route accepts no query parameters".to_string(),
+        _ => format!("this route accepts {}", accepted.join(", ")),
+    };
+    for (index, (name, _)) in request.query.iter().enumerate() {
+        if !accepted.contains(&name.as_str()) {
+            let message = format!("unknown query parameter `{name}` ({})", accepts());
+            return Response::error(400, &message);
+        }
+        if request.query[..index]
+            .iter()
+            .any(|(earlier, _)| earlier == name)
+        {
+            let message = format!(
+                "query parameter `{name}` is given more than once ({}, each once)",
+                accepts()
+            );
+            return Response::error(400, &message);
+        }
+    }
+    answer()
 }
 
 /// Finish a pretty JSON object with a trailing newline (curl-friendly).
@@ -246,7 +316,12 @@ fn registry_upload_options(
 /// stays at its current generation. A delta that would push the graph past
 /// the compact core's `u32` capacity is a structured 400
 /// (`"kind": "capacity_exceeded"`), never a panic.
-fn patch_graph(registry: &Registry, name: &str, request: &Request) -> Response {
+fn patch_graph(
+    registry: &Registry,
+    metrics: &ServerMetrics,
+    name: &str,
+    request: &Request,
+) -> Response {
     let Some(entry) = registry.get(name) else {
         return Response::error(404, &format!("no graph named `{name}`"));
     };
@@ -259,6 +334,7 @@ fn patch_graph(registry: &Registry, name: &str, request: &Request) -> Response {
     }
     match registry.patch(&entry, &batch) {
         Ok(outcome) => {
+            metrics.record_patch(&outcome);
             let mut applied = JsonObject::inline();
             applied
                 .usize("added", outcome.effect.added)
@@ -328,8 +404,8 @@ fn parse_policy(request: &Request) -> Result<ThresholdPolicy, String> {
             .parse::<f64>()
             .map_err(|_| format!("{key}: cannot parse `{value}` as a number"))
     };
-    // Every occurrence counts, so a repeated parameter is refused like a
-    // repeated CLI flag.
+    // A name given twice never reaches this point (see `route`); two
+    // different policy names are refused like two CLI policy flags.
     let mut policies = Vec::new();
     for (key, value) in &request.query {
         policies.push(match key.as_str() {

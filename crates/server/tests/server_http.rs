@@ -276,6 +276,13 @@ fn not_found_and_bad_request_paths() {
         ("/graphs/trade/backbone?method=nc&top_k=x", 400),
         ("/graphs/trade/backbone?method=nc&top_k=3&output=wat", 400),
         ("/graphs/trade/backbone?method=nc&top_k=3&format=xml", 400),
+        // Misspelt names are refused, not dropped, and so is a repeated one
+        // (of which only the last value used to count).
+        (
+            "/graphs/trade/backbone?method=nc&top_k=1&hss_root=4&outptu=summary",
+            400,
+        ),
+        ("/graphs/trade/backbone?method=nc&method=df&top_k=1", 400),
     ] {
         let (status, body) = get(&server, path);
         assert_eq!(status, expected, "{path}: {}", text(&body));
@@ -294,6 +301,12 @@ fn not_found_and_bad_request_paths() {
             "header: expected 1, true, 0 or false, got `yes`",
         ),
         ("separator=ab", "separator: expected a single character"),
+        // A misspelt name is refused too: it used to register an
+        // undirected graph.
+        (
+            "directon=directed",
+            "unknown query parameter `directon` (this route accepts direction, header, separator)",
+        ),
     ] {
         let (status, body) = post(
             &server,
@@ -874,6 +887,154 @@ fn metrics_report_graph_and_score_cache_memory() {
     server.shutdown();
 }
 
+/// A PATCH with nc and df cached adds one sample to the apply series and
+/// one to each carried method's rescore series, and to no other.
+#[test]
+fn patch_stage_latencies_reach_metrics() {
+    let server = trade_server(1);
+    for method in ["nc", "df"] {
+        let (status, _) = get(
+            &server,
+            &format!("/graphs/trade/backbone?method={method}&top_k=5"),
+        );
+        assert_eq!(status, 200);
+    }
+    let (_, body) = get(&server, "/metrics");
+    for series in [
+        "patch_apply_duration_seconds",
+        "patch_rescore_duration_seconds",
+    ] {
+        assert!(!text(&body).contains(series), "{}", text(&body));
+    }
+
+    let (status, body) = patch(&server, "/graphs/trade", "reweight usa deu 90\n", None);
+    assert_eq!(status, 200, "{}", text(&body));
+    assert!(
+        text(&body).contains("\"rescored_methods\": [\"df\", \"nc\"]"),
+        "{}",
+        text(&body)
+    );
+    let (_, body) = get(&server, "/metrics");
+    let metrics = text(&body);
+    let counts: Vec<&str> = metrics
+        .lines()
+        .filter(|line| line.starts_with("patch_") && line.contains("_count"))
+        .collect();
+    assert_eq!(
+        counts,
+        [
+            "patch_apply_duration_seconds_count 1",
+            "patch_rescore_duration_seconds_count{method=\"df\"} 1",
+            "patch_rescore_duration_seconds_count{method=\"nc\"} 1",
+        ],
+        "{metrics}"
+    );
+    assert!(
+        metrics.contains("# TYPE patch_rescore_duration_seconds summary\n"),
+        "{metrics}"
+    );
+    let (_, body) = get(&server, "/metrics?format=json");
+    assert!(
+        text(&body).contains("\"name\": \"patch_apply_duration_seconds\""),
+        "{}",
+        text(&body)
+    );
+    server.shutdown();
+}
+
+/// Every route reads a fixed set of query parameters: any other name, or
+/// a name given twice, is a 400 naming it and the names the route accepts,
+/// and the request does nothing.
+#[test]
+fn unknown_and_repeated_query_parameters_are_refused() {
+    let server = trade_server(1);
+    let none = "(this route accepts no query parameters)";
+    let backbone = "(this route accepts method, threshold, top_k, top_share, coverage, output, \
+                    format, hss_roots, hss_seed)";
+    let compare = "(this route accepts methods, top_share, noise, resamples, seed, hss_roots, \
+                   hss_seed)";
+    for (path, needle) in [
+        (
+            "/health?verbose=1",
+            format!("unknown query parameter `verbose` {none}"),
+        ),
+        ("/graphs?x=1", format!("unknown query parameter `x` {none}")),
+        (
+            "/graphs/trade?x=1",
+            format!("unknown query parameter `x` {none}"),
+        ),
+        (
+            "/metrics?fromat=json",
+            "unknown query parameter `fromat` (this route accepts format)".to_string(),
+        ),
+        (
+            "/metrics?format=json&format=json",
+            "query parameter `format` is given more than once (this route accepts format, \
+             each once)"
+                .to_string(),
+        ),
+        (
+            "/graphs/trade/backbone?method=nc&top_k=1&hss_root=4&outptu=summary",
+            format!("unknown query parameter `hss_root` {backbone}"),
+        ),
+        (
+            "/graphs/trade/backbone?method=nc&method=df&top_k=1",
+            "query parameter `method` is given more than once".to_string(),
+        ),
+        (
+            "/graphs/trade/compare?methods=nc,df&top_k=3",
+            format!("unknown query parameter `top_k` {compare}"),
+        ),
+        (
+            "/graphs/trade/compare?seed=1&seed=2",
+            "query parameter `seed` is given more than once".to_string(),
+        ),
+    ] {
+        let (status, body) = get(&server, path);
+        assert_eq!(status, 400, "{path}: {}", text(&body));
+        assert!(text(&body).contains(&needle), "{path}: {}", text(&body));
+    }
+
+    // The misspelt upload registers nothing; spelt right, the same body is
+    // a directed graph with both arcs.
+    let edges = "a b 2\nb a 3\n";
+    for query in [
+        "directon=directed",
+        "direction=directed&direction=undirected",
+    ] {
+        let (status, body) = post(&server, &format!("/graphs/d?{query}"), edges);
+        assert_eq!(status, 400, "{query}: {}", text(&body));
+        assert_eq!(get(&server, "/graphs/d").0, 404);
+    }
+    let (status, body) = post(&server, "/graphs/d?direction=directed", edges);
+    assert_eq!(status, 201, "{}", text(&body));
+    assert!(text(&body).contains("\"edges\": 2"), "{}", text(&body));
+
+    // PATCH, DELETE and shutdown take no parameters: refused, they change
+    // nothing.
+    let (status, body) = patch(&server, "/graphs/d?dry_run=1", "reweight a b 5\n", None);
+    assert_eq!(status, 400, "{}", text(&body));
+    assert!(text(&body).contains(none), "{}", text(&body));
+    let (status, _) = request(
+        &server,
+        "DELETE /graphs/d?force=1 HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n",
+    );
+    assert_eq!(status, 400);
+    let (status, body) = get(&server, "/graphs/d");
+    assert_eq!(status, 200);
+    assert!(text(&body).contains("\"generation\": 0"), "{}", text(&body));
+    let (status, _) = post(&server, "/shutdown?now=1", "");
+    assert_eq!(status, 400);
+    let (status, body) = get(&server, "/health");
+    assert_eq!(status, 200);
+    assert!(
+        text(&body).contains("\"scored\": { \"hits\": 0, \"misses\": 0, \"evictions\": 0 }"),
+        "{}",
+        text(&body)
+    );
+    server.shutdown();
+}
+
 /// `process_resident_memory_bytes` reads the whole process in bytes, so
 /// after loading and scoring a 60k-edge graph it is at least the two
 /// memory gauges' sum (a kB reading would fall far short of it).
@@ -934,6 +1095,15 @@ fn invalid_policies_are_refused_before_scoring() {
     let (_, body) = get(&server, "/graphs/trade");
     assert!(!text(&body).contains("hss"), "{}", text(&body));
     let (_, body) = get(&server, "/graphs/trade/backbone?method=nc&top_k=5&top_k=6");
+    assert!(
+        text(&body).contains("query parameter `top_k` is given more than once"),
+        "{}",
+        text(&body)
+    );
+    let (_, body) = get(
+        &server,
+        "/graphs/trade/backbone?method=nc&top_k=5&top_share=0.5",
+    );
     assert!(
         text(&body).contains("exactly one policy parameter may be given"),
         "{}",

@@ -5,9 +5,25 @@
 //! `P_ij` (derived from a hypergeometric null model), build the conjugate Beta
 //! prior, update it with the observed edge weight, and read off the posterior
 //! mean and variance that feed into the Noise-Corrected variance estimate.
+//!
+//! # Two forms of one chain
+//!
+//! The Noise-Corrected scorer runs the chain once per edge, so it calls
+//! [`BetaBinomialModel::edge_posterior`]: Eqs. 5–8 and the conjugate update
+//! as one `#[inline]` straight line that returns the posterior or a
+//! [`Refusal`], a `Copy` value naming the refused parameter. Without
+//! `#[inline]` nothing in this crate inlines into the scorer, which lives in
+//! another crate, and the per-edge calls were a quarter to a third of the NC
+//! pass. A refused edge (the scorer then takes the plug-in estimate) costs
+//! no message, no allocation and no call. The `Result` API
+//! ([`BetaBinomialModel::edge_prior`],
+//! [`BetaBinomialModel::from_prior_moments`], [`BetaBinomialModel::posterior`]
+//! and the [`Beta`] constructors) wraps the same code and formats its
+//! [`StatsError`] only on the refusal path, so each formula and each domain
+//! check is written once.
 
 use crate::distributions::{Beta, ContinuousDistribution};
-use crate::error::{StatsError, StatsResult};
+use crate::error::{Refusal, StatsError, StatsResult};
 
 /// A Beta–Binomial model for one edge's interaction probability.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,19 +54,21 @@ impl BetaBinomialModel {
     /// V[P_ij] = N_i. N_.j (N_.. − N_i.)(N_.. − N_.j) / (N_..⁴ (N_.. − 1))
     /// ```
     pub fn edge_prior(out_strength: f64, in_strength: f64, total_weight: f64) -> StatsResult<Self> {
+        Self::checked_edge_prior(out_strength, in_strength, total_weight).map_err(StatsError::from)
+    }
+
+    /// [`BetaBinomialModel::edge_prior`], refusing with a [`Refusal`].
+    #[inline]
+    fn checked_edge_prior(
+        out_strength: f64,
+        in_strength: f64,
+        total_weight: f64,
+    ) -> Result<Self, Refusal> {
         if total_weight <= 1.0 {
-            return Err(StatsError::InvalidParameter {
-                parameter: "total_weight",
-                message: format!("total network weight must exceed 1, got {total_weight}"),
-            });
+            return Err(Refusal::TotalWeight(total_weight));
         }
         if out_strength <= 0.0 || in_strength <= 0.0 {
-            return Err(StatsError::InvalidParameter {
-                parameter: "out_strength/in_strength",
-                message: format!(
-                    "node strengths must be positive, got {out_strength} and {in_strength}"
-                ),
-            });
+            return Err(Refusal::Strengths(out_strength, in_strength));
         }
         let mean = out_strength * in_strength / (total_weight * total_weight);
         let variance = out_strength
@@ -58,7 +76,28 @@ impl BetaBinomialModel {
             * (total_weight - out_strength)
             * (total_weight - in_strength)
             / (total_weight.powi(4) * (total_weight - 1.0));
-        Self::from_prior_moments(mean, variance)
+        let prior = Beta::checked_from_mean_and_variance(mean, variance)?;
+        Ok(BetaBinomialModel { prior })
+    }
+
+    /// The posterior of `P_ij` for an edge `(i, j)`: the prior of
+    /// [`BetaBinomialModel::edge_prior`] updated with `successes` out of
+    /// `trials`, as [`BetaBinomialModel::posterior`] does. This is the form
+    /// the Noise-Corrected scorer calls once per edge (see the
+    /// [module docs](self)): it returns the first refused parameter as a
+    /// [`Refusal`], where the `Result` API would build the same refusal's
+    /// message.
+    #[inline]
+    pub fn edge_posterior(
+        out_strength: f64,
+        in_strength: f64,
+        total_weight: f64,
+        successes: f64,
+        trials: f64,
+    ) -> Result<Beta, Refusal> {
+        Self::checked_edge_prior(out_strength, in_strength, total_weight)?
+            .prior
+            .checked_posterior(successes, trials)
     }
 
     /// The prior distribution.
@@ -145,6 +184,112 @@ mod tests {
         let small_sample = model.posterior_variance(2.0, 10.0).unwrap();
         let large_sample = model.posterior_variance(200.0, 1000.0).unwrap();
         assert!(large_sample < small_sample);
+    }
+
+    #[test]
+    fn every_refusal_keeps_its_message() {
+        let refuse = |result: StatsResult<()>| result.unwrap_err().to_string();
+        let prior = Beta::new(2.0, 3.0).unwrap();
+        for (actual, expected) in [
+            (
+                refuse(Beta::new(0.0, 1.0).map(drop)),
+                "invalid parameter `alpha`: must be finite and positive, got 0",
+            ),
+            (
+                refuse(Beta::new(1.0, f64::NAN).map(drop)),
+                "invalid parameter `beta`: must be finite and positive, got NaN",
+            ),
+            (
+                refuse(Beta::from_mean_and_variance(1.0, 0.01).map(drop)),
+                "invalid parameter `mean`: must lie strictly inside (0, 1), got 1",
+            ),
+            (
+                refuse(Beta::from_mean_and_variance(0.5, 0.3).map(drop)),
+                "invalid parameter `variance`: must lie strictly inside (0, mean·(1−mean)) \
+                 = (0, 0.25), got 0.3",
+            ),
+            (
+                refuse(Beta::from_mean_and_variance(0.5, 1e-320).map(drop)),
+                "invalid parameter `alpha`: must be finite and positive, got inf",
+            ),
+            (
+                refuse(Beta::from_mean_and_variance(1e-10, 1e-310).map(drop)),
+                "invalid parameter `beta`: must be finite and positive, got inf",
+            ),
+            (
+                refuse(prior.posterior(5.0, 3.0).map(drop)),
+                "invalid parameter `successes/trials`: need 0 ≤ successes ≤ trials, \
+                 got successes=5, trials=3",
+            ),
+            (
+                refuse(prior.posterior(-1.0, 3.0).map(drop)),
+                "invalid parameter `successes/trials`: need 0 ≤ successes ≤ trials, \
+                 got successes=-1, trials=3",
+            ),
+            (
+                refuse(prior.posterior(0.0, f64::INFINITY).map(drop)),
+                "invalid parameter `beta`: must be finite and positive, got inf",
+            ),
+            (
+                refuse(BetaBinomialModel::edge_prior(10.0, 10.0, 1.0).map(drop)),
+                "invalid parameter `total_weight`: total network weight must exceed 1, got 1",
+            ),
+            (
+                refuse(BetaBinomialModel::edge_prior(0.0, 10.0, 100.0).map(drop)),
+                "invalid parameter `out_strength/in_strength`: node strengths must be \
+                 positive, got 0 and 10",
+            ),
+            (
+                refuse(BetaBinomialModel::edge_prior(1000.0, 1001.0, 1001.0).map(drop)),
+                "invalid parameter `variance`: must lie strictly inside (0, mean·(1−mean)) \
+                 = (0, 0.0009980029960049602), got 0",
+            ),
+            (
+                refuse(BetaBinomialModel::from_prior_moments(0.0, 0.01).map(drop)),
+                "invalid parameter `mean`: must lie strictly inside (0, 1), got 0",
+            ),
+            (
+                refuse(BetaBinomialModel::from_shape(1.0, -2.0).map(drop)),
+                "invalid parameter `beta`: must be finite and positive, got -2",
+            ),
+            (
+                refuse(
+                    BetaBinomialModel::from_shape(1.0, 2.0)
+                        .unwrap()
+                        .posterior(4.0, 2.0)
+                        .map(drop),
+                ),
+                "invalid parameter `successes/trials`: need 0 ≤ successes ≤ trials, \
+                 got successes=4, trials=2",
+            ),
+        ] {
+            assert_eq!(actual, expected);
+        }
+    }
+
+    #[test]
+    fn edge_posterior_is_the_result_api_in_one_step() {
+        for (out_strength, in_strength, total, successes) in [
+            (120.0, 75.0, 1000.0, 30.0),
+            (10.0, 10.0, 10_000.0, 0.0),
+            (10.0, 10.0, 1.0, 1.0),
+            (0.0, 10.0, 100.0, 1.0),
+            (5.0, 5.0, 5.0, 5.0),
+            (1000.0, 1001.0, 1001.0, 1000.0),
+            (50.0, 50.0, 1000.0, 2000.0),
+        ] {
+            let chained = BetaBinomialModel::edge_prior(out_strength, in_strength, total)
+                .and_then(|model| model.posterior(successes, total));
+            let straight = BetaBinomialModel::edge_posterior(
+                out_strength,
+                in_strength,
+                total,
+                successes,
+                total,
+            )
+            .map_err(StatsError::from);
+            assert_eq!(straight, chained, "{out_strength} {in_strength} {total}");
+        }
     }
 
     #[test]

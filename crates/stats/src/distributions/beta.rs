@@ -1,7 +1,7 @@
 //! Beta distribution.
 
 use super::ContinuousDistribution;
-use crate::error::{StatsError, StatsResult};
+use crate::error::{Refusal, StatsError, StatsResult};
 use crate::special::{ln_beta, regularized_incomplete_beta};
 
 /// A Beta distribution `BETA[α, β]` on the unit interval.
@@ -18,17 +18,17 @@ pub struct Beta {
 impl Beta {
     /// Create a Beta distribution with shape parameters `alpha, beta > 0`.
     pub fn new(alpha: f64, beta: f64) -> StatsResult<Self> {
+        Self::checked(alpha, beta).map_err(StatsError::from)
+    }
+
+    /// [`Beta::new`], refusing with a [`Refusal`] instead of a message.
+    #[inline]
+    pub(crate) fn checked(alpha: f64, beta: f64) -> Result<Self, Refusal> {
         if !(alpha.is_finite() && alpha > 0.0) {
-            return Err(StatsError::InvalidParameter {
-                parameter: "alpha",
-                message: format!("must be finite and positive, got {alpha}"),
-            });
+            return Err(Refusal::Alpha(alpha));
         }
         if !(beta.is_finite() && beta > 0.0) {
-            return Err(StatsError::InvalidParameter {
-                parameter: "beta",
-                message: format!("must be finite and positive, got {beta}"),
-            });
+            return Err(Refusal::Beta(beta));
         }
         Ok(Self { alpha, beta })
     }
@@ -41,24 +41,24 @@ impl Beta {
     /// β = μ ((1 − μ)²/σ² + 1) − 1
     /// ```
     pub fn from_mean_and_variance(mean: f64, variance: f64) -> StatsResult<Self> {
+        Self::checked_from_mean_and_variance(mean, variance).map_err(StatsError::from)
+    }
+
+    /// [`Beta::from_mean_and_variance`], refusing with a [`Refusal`].
+    #[inline]
+    pub(crate) fn checked_from_mean_and_variance(
+        mean: f64,
+        variance: f64,
+    ) -> Result<Self, Refusal> {
         if !(mean > 0.0 && mean < 1.0) {
-            return Err(StatsError::InvalidParameter {
-                parameter: "mean",
-                message: format!("must lie strictly inside (0, 1), got {mean}"),
-            });
+            return Err(Refusal::Mean(mean));
         }
         if !(variance > 0.0 && variance < mean * (1.0 - mean)) {
-            return Err(StatsError::InvalidParameter {
-                parameter: "variance",
-                message: format!(
-                    "must lie strictly inside (0, mean·(1−mean)) = (0, {}), got {variance}",
-                    mean * (1.0 - mean)
-                ),
-            });
+            return Err(Refusal::Variance { mean, variance });
         }
         let alpha = mean * mean / variance * (1.0 - mean) - mean;
         let beta = mean * ((1.0 - mean) * (1.0 - mean) / variance + 1.0) - 1.0;
-        Self::new(alpha, beta)
+        Self::checked(alpha, beta)
     }
 
     /// First shape parameter `α`.
@@ -75,15 +75,17 @@ impl Beta {
     /// `trials` Bernoulli trials (the Beta–Binomial conjugate update of Eq. 4):
     /// `BETA[α + successes, β + trials − successes]`.
     pub fn posterior(&self, successes: f64, trials: f64) -> StatsResult<Self> {
+        self.checked_posterior(successes, trials)
+            .map_err(StatsError::from)
+    }
+
+    /// [`Beta::posterior`], refusing with a [`Refusal`].
+    #[inline]
+    pub(crate) fn checked_posterior(&self, successes: f64, trials: f64) -> Result<Self, Refusal> {
         if successes < 0.0 || trials < successes {
-            return Err(StatsError::InvalidParameter {
-                parameter: "successes/trials",
-                message: format!(
-                    "need 0 ≤ successes ≤ trials, got successes={successes}, trials={trials}"
-                ),
-            });
+            return Err(Refusal::Observation { successes, trials });
         }
-        Self::new(self.alpha + successes, self.beta + trials - successes)
+        Self::checked(self.alpha + successes, self.beta + trials - successes)
     }
 }
 
@@ -118,10 +120,12 @@ impl ContinuousDistribution for Beta {
         }
     }
 
+    #[inline]
     fn mean(&self) -> f64 {
         self.alpha / (self.alpha + self.beta)
     }
 
+    #[inline]
     fn variance(&self) -> f64 {
         let s = self.alpha + self.beta;
         self.alpha * self.beta / (s * s * (s + 1.0))
