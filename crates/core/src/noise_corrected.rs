@@ -85,15 +85,9 @@ impl NoiseCorrected {
 
         // Posterior (or plug-in) estimate of P_ij.
         let posterior_p = if self.bayesian_prior {
-            // The straight-line form inlines here: no call, and a refusal
-            // carries no message (see `backboning_stats::bayes`).
-            match BetaBinomialModel::edge_posterior(
-                out_strength,
-                in_strength,
-                total,
-                weight.min(total),
-                total,
-            ) {
+            match BetaBinomialModel::edge_prior(out_strength, in_strength, total)
+                .and_then(|model| model.posterior(weight.min(total), total))
+            {
                 Ok(posterior) => posterior.mean(),
                 // Degenerate prior moments (e.g. a node holding nearly all the
                 // weight): fall back to the plug-in estimate.

@@ -5,8 +5,8 @@
 //! edge passes them. This suite digests the bits of `score`, `raw_score`
 //! and `std_dev` of every edge (FNV-1a over the little-endian bytes, in
 //! edge-id order) and compares them with constants recorded before the
-//! Beta–Binomial posterior of Eqs. 5–8 was rewritten as one straight-line
-//! form, so any reordering of its float operations fails here.
+//! Beta–Binomial chain of Eqs. 5–8 was made `#[inline]` for the scorer,
+//! so any reordering of its float operations fails here.
 //!
 //! Besides two generated graphs, one row per refusal branch of the
 //! posterior pins the graphs on which the prior's moments are refused and

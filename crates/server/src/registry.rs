@@ -606,8 +606,8 @@ impl Registry {
                 &effect,
                 self.threads,
             );
-            rescore_times.push((method, rescoring.elapsed()));
             if let Ok(scored) = scored {
+                rescore_times.push((method, rescoring.elapsed()));
                 new_state.store_scored(key.clone(), method, Arc::new(scored));
                 rescored.push(key);
             }

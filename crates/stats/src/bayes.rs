@@ -6,24 +6,23 @@
 //! prior, update it with the observed edge weight, and read off the posterior
 //! mean and variance that feed into the Noise-Corrected variance estimate.
 //!
-//! # Two forms of one chain
+//! # How the Noise-Corrected scorer calls it
 //!
-//! The Noise-Corrected scorer runs the chain once per edge, so it calls
-//! [`BetaBinomialModel::edge_posterior`]: Eqs. 5–8 and the conjugate update
-//! as one `#[inline]` straight line that returns the posterior or a
-//! [`Refusal`], a `Copy` value naming the refused parameter. Without
-//! `#[inline]` nothing in this crate inlines into the scorer, which lives in
-//! another crate, and the per-edge calls were a quarter to a third of the NC
-//! pass. A refused edge (the scorer then takes the plug-in estimate) costs
-//! no message, no allocation and no call. The `Result` API
-//! ([`BetaBinomialModel::edge_prior`],
+//! The scorer runs the chain once per edge, as
+//! `edge_prior(..).and_then(|model| model.posterior(..))`. That chain is
+//! `#[inline]` ([`BetaBinomialModel::edge_prior`],
 //! [`BetaBinomialModel::from_prior_moments`], [`BetaBinomialModel::posterior`]
-//! and the [`Beta`] constructors) wraps the same code and formats its
-//! [`StatsError`] only on the refusal path, so each formula and each domain
-//! check is written once.
+//! and the [`Beta`] constructors it goes through), because the scorer lives
+//! in another crate and nothing here inlines across crates without it: out of
+//! line, the per-edge calls were about a quarter of the NC pass. Every
+//! refusal builds its message in one `#[cold]` function that takes the
+//! refused values by value, so the straight-line path of the inlined chain
+//! holds only the arithmetic of Eqs. 5–8 and their domain checks. A refused edge (the scorer then takes the plug-in estimate)
+//! still formats and frees its message; on the generated graphs the bit pins
+//! cover, no edge is refused.
 
 use crate::distributions::{Beta, ContinuousDistribution};
-use crate::error::{Refusal, StatsError, StatsResult};
+use crate::error::{StatsError, StatsResult};
 
 /// A Beta–Binomial model for one edge's interaction probability.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,6 +32,7 @@ pub struct BetaBinomialModel {
 
 impl BetaBinomialModel {
     /// Build the model from prior mean and variance (Eqs. 5–8 of the paper).
+    #[inline]
     pub fn from_prior_moments(mean: f64, variance: f64) -> StatsResult<Self> {
         Ok(BetaBinomialModel {
             prior: Beta::from_mean_and_variance(mean, variance)?,
@@ -53,22 +53,20 @@ impl BetaBinomialModel {
     /// E[P_ij] = N_i. N_.j / N_..²
     /// V[P_ij] = N_i. N_.j (N_.. − N_i.)(N_.. − N_.j) / (N_..⁴ (N_.. − 1))
     /// ```
-    pub fn edge_prior(out_strength: f64, in_strength: f64, total_weight: f64) -> StatsResult<Self> {
-        Self::checked_edge_prior(out_strength, in_strength, total_weight).map_err(StatsError::from)
-    }
-
-    /// [`BetaBinomialModel::edge_prior`], refusing with a [`Refusal`].
     #[inline]
-    fn checked_edge_prior(
-        out_strength: f64,
-        in_strength: f64,
-        total_weight: f64,
-    ) -> Result<Self, Refusal> {
+    pub fn edge_prior(out_strength: f64, in_strength: f64, total_weight: f64) -> StatsResult<Self> {
         if total_weight <= 1.0 {
-            return Err(Refusal::TotalWeight(total_weight));
+            return Err(StatsError::invalid_parameter("total_weight", move || {
+                format!("total network weight must exceed 1, got {total_weight}")
+            }));
         }
         if out_strength <= 0.0 || in_strength <= 0.0 {
-            return Err(Refusal::Strengths(out_strength, in_strength));
+            return Err(StatsError::invalid_parameter(
+                "out_strength/in_strength",
+                move || {
+                    format!("node strengths must be positive, got {out_strength} and {in_strength}")
+                },
+            ));
         }
         let mean = out_strength * in_strength / (total_weight * total_weight);
         let variance = out_strength
@@ -76,28 +74,7 @@ impl BetaBinomialModel {
             * (total_weight - out_strength)
             * (total_weight - in_strength)
             / (total_weight.powi(4) * (total_weight - 1.0));
-        let prior = Beta::checked_from_mean_and_variance(mean, variance)?;
-        Ok(BetaBinomialModel { prior })
-    }
-
-    /// The posterior of `P_ij` for an edge `(i, j)`: the prior of
-    /// [`BetaBinomialModel::edge_prior`] updated with `successes` out of
-    /// `trials`, as [`BetaBinomialModel::posterior`] does. This is the form
-    /// the Noise-Corrected scorer calls once per edge (see the
-    /// [module docs](self)): it returns the first refused parameter as a
-    /// [`Refusal`], where the `Result` API would build the same refusal's
-    /// message.
-    #[inline]
-    pub fn edge_posterior(
-        out_strength: f64,
-        in_strength: f64,
-        total_weight: f64,
-        successes: f64,
-        trials: f64,
-    ) -> Result<Beta, Refusal> {
-        Self::checked_edge_prior(out_strength, in_strength, total_weight)?
-            .prior
-            .checked_posterior(successes, trials)
+        Self::from_prior_moments(mean, variance)
     }
 
     /// The prior distribution.
@@ -107,6 +84,7 @@ impl BetaBinomialModel {
 
     /// The posterior distribution after observing `successes` successes in
     /// `trials` Bernoulli trials (edge weight `N_ij` out of `N_..` interactions).
+    #[inline]
     pub fn posterior(&self, successes: f64, trials: f64) -> StatsResult<Beta> {
         self.prior.posterior(successes, trials)
     }
@@ -264,31 +242,6 @@ mod tests {
             ),
         ] {
             assert_eq!(actual, expected);
-        }
-    }
-
-    #[test]
-    fn edge_posterior_is_the_result_api_in_one_step() {
-        for (out_strength, in_strength, total, successes) in [
-            (120.0, 75.0, 1000.0, 30.0),
-            (10.0, 10.0, 10_000.0, 0.0),
-            (10.0, 10.0, 1.0, 1.0),
-            (0.0, 10.0, 100.0, 1.0),
-            (5.0, 5.0, 5.0, 5.0),
-            (1000.0, 1001.0, 1001.0, 1000.0),
-            (50.0, 50.0, 1000.0, 2000.0),
-        ] {
-            let chained = BetaBinomialModel::edge_prior(out_strength, in_strength, total)
-                .and_then(|model| model.posterior(successes, total));
-            let straight = BetaBinomialModel::edge_posterior(
-                out_strength,
-                in_strength,
-                total,
-                successes,
-                total,
-            )
-            .map_err(StatsError::from);
-            assert_eq!(straight, chained, "{out_strength} {in_strength} {total}");
         }
     }
 

@@ -1,7 +1,7 @@
 //! Beta distribution.
 
 use super::ContinuousDistribution;
-use crate::error::{Refusal, StatsError, StatsResult};
+use crate::error::{StatsError, StatsResult};
 use crate::special::{ln_beta, regularized_incomplete_beta};
 
 /// A Beta distribution `BETA[α, β]` on the unit interval.
@@ -17,18 +17,17 @@ pub struct Beta {
 
 impl Beta {
     /// Create a Beta distribution with shape parameters `alpha, beta > 0`.
-    pub fn new(alpha: f64, beta: f64) -> StatsResult<Self> {
-        Self::checked(alpha, beta).map_err(StatsError::from)
-    }
-
-    /// [`Beta::new`], refusing with a [`Refusal`] instead of a message.
     #[inline]
-    pub(crate) fn checked(alpha: f64, beta: f64) -> Result<Self, Refusal> {
+    pub fn new(alpha: f64, beta: f64) -> StatsResult<Self> {
         if !(alpha.is_finite() && alpha > 0.0) {
-            return Err(Refusal::Alpha(alpha));
+            return Err(StatsError::invalid_parameter("alpha", move || {
+                format!("must be finite and positive, got {alpha}")
+            }));
         }
         if !(beta.is_finite() && beta > 0.0) {
-            return Err(Refusal::Beta(beta));
+            return Err(StatsError::invalid_parameter("beta", move || {
+                format!("must be finite and positive, got {beta}")
+            }));
         }
         Ok(Self { alpha, beta })
     }
@@ -40,25 +39,24 @@ impl Beta {
     /// α = μ²/σ² (1 − μ) − μ
     /// β = μ ((1 − μ)²/σ² + 1) − 1
     /// ```
-    pub fn from_mean_and_variance(mean: f64, variance: f64) -> StatsResult<Self> {
-        Self::checked_from_mean_and_variance(mean, variance).map_err(StatsError::from)
-    }
-
-    /// [`Beta::from_mean_and_variance`], refusing with a [`Refusal`].
     #[inline]
-    pub(crate) fn checked_from_mean_and_variance(
-        mean: f64,
-        variance: f64,
-    ) -> Result<Self, Refusal> {
+    pub fn from_mean_and_variance(mean: f64, variance: f64) -> StatsResult<Self> {
         if !(mean > 0.0 && mean < 1.0) {
-            return Err(Refusal::Mean(mean));
+            return Err(StatsError::invalid_parameter("mean", move || {
+                format!("must lie strictly inside (0, 1), got {mean}")
+            }));
         }
         if !(variance > 0.0 && variance < mean * (1.0 - mean)) {
-            return Err(Refusal::Variance { mean, variance });
+            return Err(StatsError::invalid_parameter("variance", move || {
+                format!(
+                    "must lie strictly inside (0, mean·(1−mean)) = (0, {}), got {variance}",
+                    mean * (1.0 - mean)
+                )
+            }));
         }
         let alpha = mean * mean / variance * (1.0 - mean) - mean;
         let beta = mean * ((1.0 - mean) * (1.0 - mean) / variance + 1.0) - 1.0;
-        Self::checked(alpha, beta)
+        Self::new(alpha, beta)
     }
 
     /// First shape parameter `α`.
@@ -74,18 +72,19 @@ impl Beta {
     /// Posterior distribution after observing `successes` successes out of
     /// `trials` Bernoulli trials (the Beta–Binomial conjugate update of Eq. 4):
     /// `BETA[α + successes, β + trials − successes]`.
-    pub fn posterior(&self, successes: f64, trials: f64) -> StatsResult<Self> {
-        self.checked_posterior(successes, trials)
-            .map_err(StatsError::from)
-    }
-
-    /// [`Beta::posterior`], refusing with a [`Refusal`].
     #[inline]
-    pub(crate) fn checked_posterior(&self, successes: f64, trials: f64) -> Result<Self, Refusal> {
+    pub fn posterior(&self, successes: f64, trials: f64) -> StatsResult<Self> {
         if successes < 0.0 || trials < successes {
-            return Err(Refusal::Observation { successes, trials });
+            return Err(StatsError::invalid_parameter(
+                "successes/trials",
+                move || {
+                    format!(
+                        "need 0 ≤ successes ≤ trials, got successes={successes}, trials={trials}"
+                    )
+                },
+            ));
         }
-        Self::checked(self.alpha + successes, self.beta + trials - successes)
+        Self::new(self.alpha + successes, self.beta + trials - successes)
     }
 }
 
@@ -125,7 +124,6 @@ impl ContinuousDistribution for Beta {
         self.alpha / (self.alpha + self.beta)
     }
 
-    #[inline]
     fn variance(&self) -> f64 {
         let s = self.alpha + self.beta;
         self.alpha * self.beta / (s * s * (s + 1.0))

@@ -77,76 +77,27 @@ impl fmt::Display for StatsError {
 
 impl std::error::Error for StatsError {}
 
-/// Convenience result alias for statistical routines.
-pub type StatsResult<T> = Result<T, StatsError>;
-
-/// A parameter the Beta–Binomial chain of Eqs. 5–8 refused, held as the
-/// offending values rather than a message. The straight-line posterior
-/// ([`BetaBinomialModel::edge_posterior`](crate::BetaBinomialModel::edge_posterior))
-/// returns it, so a caller that only falls back on a refusal never
-/// formats or frees a `String`; the `Result` API converts it into a
-/// [`StatsError::InvalidParameter`] on the refusal path only.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Refusal {
-    /// The network total `N..` does not exceed 1.
-    TotalWeight(f64),
-    /// An out- or in-strength is not positive: `(out, in)`.
-    Strengths(f64, f64),
-    /// The prior mean lies outside `(0, 1)`.
-    Mean(f64),
-    /// The prior variance lies outside `(0, mean·(1−mean))`.
-    Variance {
-        /// The prior mean the bound was computed from.
-        mean: f64,
-        /// The refused variance.
-        variance: f64,
-    },
-    /// The shape parameter `α` is not finite and positive.
-    Alpha(f64),
-    /// The shape parameter `β` is not finite and positive.
-    Beta(f64),
-    /// The observation does not satisfy `0 ≤ successes ≤ trials`.
-    Observation {
-        /// Observed successes.
-        successes: f64,
-        /// Observed trials.
-        trials: f64,
-    },
-}
-
-impl From<Refusal> for StatsError {
+impl StatsError {
+    /// A [`StatsError::InvalidParameter`] whose message `message` builds
+    /// here, out of line. The Beta–Binomial chain is `#[inline]` into
+    /// per-edge loops (see [`crate::bayes`]); its refusals pass the refused
+    /// values by value to this cold function, so the straight-line path
+    /// neither formats nor keeps those values addressable for a formatter.
     #[cold]
-    fn from(refusal: Refusal) -> Self {
-        let (parameter, message) = match refusal {
-            Refusal::TotalWeight(total_weight) => (
-                "total_weight",
-                format!("total network weight must exceed 1, got {total_weight}"),
-            ),
-            Refusal::Strengths(out_strength, in_strength) => (
-                "out_strength/in_strength",
-                format!("node strengths must be positive, got {out_strength} and {in_strength}"),
-            ),
-            Refusal::Mean(mean) => (
-                "mean",
-                format!("must lie strictly inside (0, 1), got {mean}"),
-            ),
-            Refusal::Variance { mean, variance } => (
-                "variance",
-                format!(
-                    "must lie strictly inside (0, mean·(1−mean)) = (0, {}), got {variance}",
-                    mean * (1.0 - mean)
-                ),
-            ),
-            Refusal::Alpha(alpha) => ("alpha", format!("must be finite and positive, got {alpha}")),
-            Refusal::Beta(beta) => ("beta", format!("must be finite and positive, got {beta}")),
-            Refusal::Observation { successes, trials } => (
-                "successes/trials",
-                format!("need 0 ≤ successes ≤ trials, got successes={successes}, trials={trials}"),
-            ),
-        };
-        StatsError::InvalidParameter { parameter, message }
+    #[inline(never)]
+    pub(crate) fn invalid_parameter(
+        parameter: &'static str,
+        message: impl FnOnce() -> String,
+    ) -> Self {
+        StatsError::InvalidParameter {
+            parameter,
+            message: message(),
+        }
     }
 }
+
+/// Convenience result alias for statistical routines.
+pub type StatsResult<T> = Result<T, StatsError>;
 
 #[cfg(test)]
 mod tests {

@@ -49,6 +49,6 @@ pub mod special;
 pub use bayes::BetaBinomialModel;
 pub use correlation::{log_log_pearson, pearson, spearman};
 pub use descriptive::{mean, median, quantile, std_dev, variance};
-pub use error::{Refusal, StatsError, StatsResult};
+pub use error::{StatsError, StatsResult};
 pub use linalg::Matrix;
 pub use regression::{OlsFit, OlsModel};
